@@ -58,8 +58,10 @@ func (s *Server) runInsertCollector() {
 	defer s.collectWG.Done()
 	// The timer is only selected on while requests are pending, and
 	// resetTimer neutralizes any stale expiry before re-arming, so the
-	// initial duration is irrelevant.
+	// initial duration is irrelevant. Stopping it on exit frees it at
+	// once rather than an hour later.
 	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
 	var pending []*insertReq
 	var points int
 	var scratch []vec.Vector
@@ -164,8 +166,10 @@ func (s *Server) runClassifyCollector() {
 	defer s.collectWG.Done()
 	// The timer is only selected on while requests are pending, and
 	// resetTimer neutralizes any stale expiry before re-arming, so the
-	// initial duration is irrelevant.
+	// initial duration is irrelevant. Stopping it on exit frees it at
+	// once rather than an hour later.
 	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
 	var pending []*classifyReq
 	var points int
 	var scratch []vec.Vector

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -190,6 +191,30 @@ func (s *stubBackend) Summaries(ctx context.Context) ([]core.Summary, error) {
 }
 func (s *stubBackend) Flush(ctx context.Context) error { return nil }
 func (s *stubBackend) Close() error                    { s.closed.Store(true); return nil }
+
+// TestShutdownReleasesCollectorTimers stops many servers and bounds the
+// heap they leave behind. Each collector arms a timer; under go 1.22
+// timer semantics a timer that is never stopped stays on the runtime
+// heap until it fires, so a stopped Server must stop both.
+func TestShutdownReleasesCollectorTimers(t *testing.T) {
+	const servers = 2000
+	ctx := context.Background()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < servers; i++ {
+		if err := New(&stubBackend{dim: 2}, Options{QueueDepth: 1}).Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perServer := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / servers
+	t.Logf("%d heap bytes retained per stopped server", perServer)
+	if perServer > 128 {
+		t.Fatalf("each stopped server retains %d heap bytes, want <= 128", perServer)
+	}
+}
 
 // TestBackpressure429 saturates a tiny admission queue behind a blocked
 // backend and requires (a) 429s with a Retry-After hint, (b) zero lost

@@ -33,9 +33,14 @@ func (e *Engine) runCompactor() {
 // threshold back so shard trees rebuild coarser and stay within their
 // memory slices.
 func (e *Engine) compact() {
-	reports, err := e.syncShards(context.Background())
-	if err != nil {
+	ctx := context.Background()
+	if e.acquireRound(ctx) != nil {
 		return // engine closing; Close publishes the final snapshot
+	}
+	defer e.releaseRound()
+	reports, err := e.syncShards(ctx)
+	if err != nil {
+		return
 	}
 	snap := e.publish(reports)
 	if snap == nil || !e.opts.PropagateThreshold {
@@ -50,16 +55,14 @@ func (e *Engine) compact() {
 }
 
 // publish merges the shard reports into a fresh immutable Snapshot and
-// stores it. publishMu serializes concurrent publishers (Flush callers
-// racing the compactor and Close) so generations stay strictly
-// increasing; readers never touch the mutex. Returns the snapshot, or
-// nil when the merge failed (the error is recorded, the previous
-// snapshot stays current).
+// stores it. The caller holds the round, which serializes publishers
+// (Flush callers racing the compactor and Close) so generations stay
+// strictly increasing and each publication is built from a later sync
+// than the one before. Returns the snapshot, or nil when the merge failed
+// (the error is recorded, the previous snapshot stays current).
 //
 //birchlint:publishpath
 func (e *Engine) publish(reports []shardReport) *Snapshot {
-	e.publishMu.Lock()
-	defer e.publishMu.Unlock()
 	snap := e.buildSnapshot(reports)
 	if snap == nil {
 		return nil

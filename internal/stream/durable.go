@@ -177,6 +177,7 @@ func Open(cfg core.Config, opts Options, dur *DurableOptions) (*Engine, *Recover
 		opts:   opts,
 		dur:    ds,
 		quit:   make(chan struct{}),
+		round:  make(chan struct{}, 1),
 		shards: make([]*shard, opts.Shards),
 	}
 	for i := range e.shards {

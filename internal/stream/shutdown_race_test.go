@@ -175,9 +175,9 @@ func TestDoubleFlush(t *testing.T) {
 	defer eng.Close()
 	ctx := context.Background()
 
-	// Concurrent phase: writers and flushers race. Publications serialize
-	// on publishMu, so generations observed by any one goroutine must
-	// never go backwards.
+	// Concurrent phase: writers and flushers race. Sync-and-publish rounds
+	// serialize on the engine's round, so generations observed by any one
+	// goroutine must never go backwards.
 	const flushers, writers, perWriter = 3, 2, 400
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

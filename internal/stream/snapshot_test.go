@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -280,6 +281,68 @@ func TestSnapshotClassifyBatch(t *testing.T) {
 		if idx[i] != wi || math.Float64bits(dist[i]) != math.Float64bits(wd) {
 			t.Fatalf("engine batch query %d: (%d,%x), want (%d,%x)", i,
 				idx[i], math.Float64bits(dist[i]), wi, math.Float64bits(wd))
+		}
+	}
+}
+
+// TestFlushSnapshotNeverStale races a compaction round against Flush. The
+// round syncs the shard before an acked batch and Flush syncs after it;
+// whichever publishes last, the snapshot left behind must cover every
+// acked point. The shard worker is parked on an unbuffered invariant-
+// check reply so the ops queue in a known order, and GOMAXPROCS(1) makes
+// the scheduler run the goroutine readied last (Flush) first — the order
+// in which an unserialized compaction publishes its older view on top.
+func TestFlushSnapshotNeverStale(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := core.DefaultConfig(2, 4)
+	cfg.Refine = false
+	eng, err := New(cfg, Options{Shards: 1, MailboxDepth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	s := eng.shards[0]
+	waitQueued := func(n int, limit time.Duration) {
+		deadline := time.Now().Add(limit)
+		for len(s.mail) != n && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+	}
+	pts := latticePoints(400)
+	var acked int64
+	for round := 0; round*16 < len(pts); round++ {
+		gate := make(chan error)
+		if err := eng.send(ctx, s, op{check: gate}); err != nil {
+			t.Fatal(err)
+		}
+		waitQueued(0, time.Second) // the worker holds the check op
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			eng.compact()
+		}()
+		waitQueued(1, time.Second) // compaction sync queued
+		if err := eng.InsertBatch(ctx, pts[round*16:(round+1)*16]); err != nil {
+			t.Fatal(err)
+		}
+		acked += 16
+		var flushErr error
+		go func() {
+			defer wg.Done()
+			flushErr = eng.Flush(ctx)
+		}()
+		waitQueued(3, 50*time.Millisecond) // Flush's sync, unless it waits its turn
+		if err := <-gate; err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		if flushErr != nil {
+			t.Fatal(flushErr)
+		}
+		if got := eng.Snapshot().Points; got != acked {
+			t.Fatalf("round %d: snapshot after Flush covers %d points, acked %d", round, got, acked)
 		}
 	}
 }

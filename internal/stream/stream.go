@@ -101,9 +101,13 @@ type Engine struct {
 	wg        sync.WaitGroup // shard workers
 	compactWG sync.WaitGroup
 
-	snap      atomic.Pointer[Snapshot]
-	publishMu sync.Mutex // serializes snapshot builds; readers never take it
-	gen       int64      // publication generation, guarded by publishMu
+	snap atomic.Pointer[Snapshot]
+	// round is a one-slot semaphore held across a whole sync-and-publish
+	// round (Flush, a compaction round, Close's final publish), so a
+	// snapshot built from an earlier shard sync can never replace one
+	// built from a later sync. Readers never take it.
+	round chan struct{}
+	gen   int64 // publication generation, guarded by round
 
 	inserted    atomic.Int64 // points accepted by Insert/InsertBatch
 	compactions atomic.Int64 // snapshots published
@@ -285,6 +289,10 @@ func (e *Engine) trySend(s *shard, o op) bool {
 // into its shard's tree, then merges the shard summaries and publishes a
 // fresh snapshot. It returns the first asynchronous shard error, if any.
 func (e *Engine) Flush(ctx context.Context) error {
+	if err := e.acquireRound(ctx); err != nil {
+		return err
+	}
+	defer e.releaseRound()
 	reports, err := e.syncShards(ctx)
 	if err != nil {
 		return err
@@ -292,6 +300,21 @@ func (e *Engine) Flush(ctx context.Context) error {
 	e.publish(reports)
 	return e.Err()
 }
+
+// acquireRound takes the sync-and-publish round, giving up when ctx is
+// done or the engine closes.
+func (e *Engine) acquireRound(ctx context.Context) error {
+	select {
+	case e.round <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-e.quit:
+		return ErrClosed
+	}
+}
+
+func (e *Engine) releaseRound() { <-e.round }
 
 // syncShards sends a sync op through every shard mailbox — so the reply
 // reflects all previously queued work — and collects the owner-built
@@ -341,7 +364,9 @@ func (e *Engine) Close() error {
 		for i, s := range e.shards {
 			reports[i] = s.final
 		}
+		e.round <- struct{}{} // an in-flight Flush publishes first
 		e.publish(reports)
+		e.releaseRound()
 	})
 	return e.Err()
 }

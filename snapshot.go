@@ -72,6 +72,10 @@ func (c *Clusterer) WriteSnapshot(w io.Writer) error {
 	return bw.Flush()
 }
 
+// maxSnapshotPoints bounds the total point count a snapshot may carry:
+// 2^53, the largest range in which every count is an exact float64.
+const maxSnapshotPoints = 1 << 53
+
 // ResumeSnapshot reconstructs a Clusterer from a snapshot written by
 // WriteSnapshot. The provided configuration must use the snapshot's
 // dimensionality and must have Refine off (summaries carry no points to
@@ -132,11 +136,18 @@ func ResumeSnapshot(r io.Reader, cfg Config) (*Clusterer, error) {
 		return nil, err
 	}
 	c := &Clusterer{cfg: cfg, eng: eng}
+	var points int64
 	for i := uint64(0); i < count; i++ {
 		entry, err := readCF(br, int(dim), snapCore)
 		if err != nil {
 			return nil, fmt.Errorf("birch: reading snapshot entry %d: %w", i, err)
 		}
+		// Merged counts must stay exact in the float64 arithmetic of every
+		// CF formula, and must not overflow int64 when entries merge.
+		if entry.N > maxSnapshotPoints-points {
+			return nil, fmt.Errorf("birch: snapshot entry %d: total point count exceeds 2^53", i)
+		}
+		points += entry.N
 		if err := eng.AddCF(entry); err != nil {
 			return nil, err
 		}

@@ -87,6 +87,10 @@ type ServeResult struct {
 	PointsPerSec float64 `json:"points_per_sec,omitempty"`
 	QPS          float64 `json:"qps,omitempty"`
 
+	// PtsPerFlush is the mean points per classify-collector flush over
+	// the whole workload (every ramp step) — the coalescing yield.
+	PtsPerFlush float64 `json:"pts_per_flush,omitempty"`
+
 	// BinaryVsJSONPoints is knee points/sec of this workload over the
 	// JSON single-point classify knee (set on serve_classify_binary_b64).
 	BinaryVsJSONPoints float64 `json:"binary_vs_json_points,omitempty"`
@@ -238,6 +242,29 @@ func startServeFixture(preload []vec.Vector, dim, k int, opts server.Options) (*
 	return f, nil
 }
 
+// classifyYield reads the daemon's classify-collector gauges and returns
+// a func giving the mean points per flush since — the coalescing the
+// workload run in between bought.
+func (f *serveFixture) classifyYield(ctx context.Context) func() float64 {
+	gauges := func() server.ServerGauges {
+		st, err := f.cl.Stats(ctx)
+		if err != nil {
+			fatal(fmt.Errorf("serve fixture stats: %w", err))
+		}
+		return st.Server
+	}
+	g0 := gauges()
+	return func() float64 {
+		g1 := gauges()
+		flushes := g1.ClassifyFlushes - g0.ClassifyFlushes
+		if flushes == 0 {
+			return 0
+		}
+		pts := g1.AvgClassifyBatch*float64(g1.ClassifyFlushes) - g0.AvgClassifyBatch*float64(g0.ClassifyFlushes)
+		return pts / float64(flushes)
+	}
+}
+
 func (f *serveFixture) shutdown() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -313,12 +340,13 @@ func runServeWorkloads(quick bool) map[string]ServeResult {
 		_, _, err := fix.cl.Classify(ctx, p)
 		return err
 	}
+	yield := fix.classifyYield(ctx)
 	jsonKnee, jsonSteps := rampToKnee(startRate, stepDur, conc, 1, jsonFn)
 	out["serve_classify_json_single"] = ServeResult{
 		Tier: "json", Endpoint: "classify", Batch: 1,
 		KneeQPS: jsonKnee.AchievedQPS, KneePointsPerSec: jsonKnee.AchievedQPS,
 		P50Ns: jsonKnee.P50Ns, P99Ns: jsonKnee.P99Ns, P999Ns: jsonKnee.P999Ns,
-		Steps: jsonSteps,
+		Steps: jsonSteps, PtsPerFlush: yield(),
 	}
 
 	// 2. Binary 64-point classify-batch ramp.
@@ -328,12 +356,13 @@ func runServeWorkloads(quick bool) map[string]ServeResult {
 		_, _, err := fix.cl.ClassifyBatch(ctx, query[i:i+rampBatch], dim)
 		return err
 	}
+	yield = fix.classifyYield(ctx)
 	binKnee, binSteps := rampToKnee(startRate/8, stepDur, conc, rampBatch, binFn)
 	binRes := ServeResult{
 		Tier: "binary", Endpoint: "classify", Batch: rampBatch,
 		KneeQPS: binKnee.AchievedQPS, KneePointsPerSec: binKnee.AchievedQPS * rampBatch,
 		P50Ns: binKnee.P50Ns, P99Ns: binKnee.P99Ns, P999Ns: binKnee.P999Ns,
-		Steps: binSteps,
+		Steps: binSteps, PtsPerFlush: yield(),
 	}
 	if jsonKnee.AchievedQPS > 0 {
 		binRes.BinaryVsJSONPoints = binRes.KneePointsPerSec / jsonKnee.AchievedQPS
@@ -343,6 +372,7 @@ func runServeWorkloads(quick bool) map[string]ServeResult {
 	// 3. Closed-loop batch-size sweep: constant concurrency, measure
 	// delivered points/sec and percentiles per batch size.
 	for _, batch := range []int{1, 16, 64, 256} {
+		yield := fix.classifyYield(ctx)
 		res := closedLoop(stepDur*2, max(16, conc/4), func() (int, error) {
 			i := int(qi.Add(1)) % (len(query) - batch)
 			_, _, err := fix.cl.ClassifyBatch(ctx, query[i:i+batch], dim)
@@ -352,6 +382,7 @@ func runServeWorkloads(quick bool) map[string]ServeResult {
 			Tier: "binary", Endpoint: "classify", Batch: batch,
 			PointsPerSec: res.pointsPerSec, QPS: res.qps,
 			P50Ns: res.p50, P99Ns: res.p99, P999Ns: res.p999,
+			PtsPerFlush: yield(),
 		}
 	}
 	if err := fix.shutdown(); err != nil {

@@ -78,11 +78,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 
 		refresh = fs.Duration("refresh", time.Second, "coordinator snapshot refresh period")
 
-		batchMax  = fs.Int("batch-max", 64, "micro-batch flush size in points")
-		batchWait = fs.Duration("batch-wait", 200*time.Microsecond, "micro-batch flush deadline")
-		queue     = fs.Int("queue", 256, "admission queue depth in requests (full = 429)")
-		workers   = fs.Int("classify-workers", 1, "worker fan-out per coalesced classify batch")
-		drain     = fs.Duration("drain-timeout", 15*time.Second, "graceful shutdown budget")
+		batchMax = fs.Int("batch-max", 64, "micro-batch flush size in points")
+		queue    = fs.Int("queue", 256, "admission queue depth in requests (full = 429)")
+		workers  = fs.Int("classify-workers", 1, "worker fan-out per coalesced classify batch")
+		drain    = fs.Duration("drain-timeout", 15*time.Second, "graceful shutdown budget")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -110,7 +109,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 
 	srv := server.New(backend, server.Options{
 		MaxBatch:        *batchMax,
-		BatchWait:       *batchWait,
 		QueueDepth:      *queue,
 		ClassifyWorkers: *workers,
 	})

@@ -40,6 +40,10 @@ type Backend interface {
 	// Flush forces every accepted point into the serving state and
 	// publishes a fresh snapshot.
 	Flush(ctx context.Context) error
+	// Err reports the first asynchronous failure (a failed WAL append,
+	// say) after which accepted points may be lost, or nil. /healthz
+	// answers 503 while it is non-nil.
+	Err() error
 	// Close drains and stops the backend. Read-side calls stay valid.
 	Close() error
 }
@@ -80,6 +84,9 @@ func (b EngineBackend) Summaries(ctx context.Context) ([]core.Summary, error) {
 
 // Flush implements Backend.
 func (b EngineBackend) Flush(ctx context.Context) error { return b.Eng.Flush(ctx) }
+
+// Err implements Backend.
+func (b EngineBackend) Err() error { return b.Eng.Err() }
 
 // Close implements Backend.
 func (b EngineBackend) Close() error { return b.Eng.Close() }

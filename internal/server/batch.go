@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"time"
 
 	"birch/internal/vec"
 )
@@ -24,6 +23,8 @@ type insertReq struct {
 	reply chan<- error
 }
 
+func (r *insertReq) points() int { return len(r.pts) + len(r.sps) }
+
 // classifyReq is one admitted classify request. The collector fills
 // idx/dist (allocated by the handler, one slot per point) and posts the
 // batch error — nil, or ErrNoSnapshot — on reply.
@@ -34,43 +35,56 @@ type classifyReq struct {
 	reply chan<- error
 }
 
-// resetTimer arms t with d, first neutralizing any stale expiry. The
-// collectors own their timers exclusively, so the drain-then-Reset
-// dance is race-free.
-func resetTimer(t *time.Timer, d time.Duration) {
-	if !t.Stop() {
+func (r *classifyReq) points() int { return len(r.pts) }
+
+// collect is the self-clocking batching loop both collectors run. It
+// blocks for the first request, then takes without blocking every
+// request already queued behind it, until maxBatch points are pending or
+// the queue is empty, and flushes at once. Requests that arrive during a
+// flush form the next batch, so batches grow with the flush time under
+// load and an idle server never waits. Batches keep queue order. Once
+// quit is closed it flushes whatever is still queued and returns: a
+// request admitted before shutdown is always answered.
+func collect[R interface{ points() int }](q <-chan R, quit <-chan struct{}, maxBatch int, flush func([]R)) {
+	var batch []R
+	for {
+		var first R
 		select {
-		case <-t.C:
-		default:
+		case first = <-q:
+		case <-quit:
+			select {
+			case first = <-q:
+			default:
+				return
+			}
 		}
+		batch = append(batch, first)
+	gather:
+		for n := first.points(); n < maxBatch; {
+			select {
+			case r := <-q:
+				batch = append(batch, r)
+				n += r.points()
+			default:
+				break gather
+			}
+		}
+		flush(batch)
+		clear(batch) // drop the references; the slice is reused
+		batch = batch[:0]
 	}
-	t.Reset(d)
 }
 
-// runInsertCollector owns the insert micro-batch: it parks admitted
-// requests until either MaxBatch points are pending or BatchWait has
-// passed since the first parked request, then folds them into the
-// backend with a single InsertBatch call and acks every contributor.
-// Coalescing preserves admission order — the backend applies points in
-// slice order — so a deterministic client driving requests sequentially
-// sees the exact tree a direct stream.Engine would build.
+// runInsertCollector folds each insert batch into the backend and acks
+// every contributor. Coalescing preserves admission order — the backend
+// applies points in slice order — so a deterministic client driving
+// requests sequentially sees the exact tree a direct stream.Engine would
+// build.
 func (s *Server) runInsertCollector() {
 	defer s.collectWG.Done()
-	// The timer is only selected on while requests are pending, and
-	// resetTimer neutralizes any stale expiry before re-arming, so the
-	// initial duration is irrelevant. Stopping it on exit frees it at
-	// once rather than an hour later.
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	var pending []*insertReq
-	var points int
 	var scratch []vec.Vector
 	var spScratch []vec.Sparse
-
-	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
+	collect(s.insertQ, s.quit, s.opts.MaxBatch, func(pending []*insertReq) {
 		// Dense and sparse points coalesce into separate engine batches
 		// (one backend call per tier per flush). A sequential client still
 		// sees admission order: it waits for each ack before sending the
@@ -95,89 +109,26 @@ func (s *Server) runInsertCollector() {
 		}
 		s.insertFlushes.Add(1)
 		s.insertBatchedPts.Add(int64(len(scratch) + len(spScratch)))
-		for i, r := range pending {
+		for _, r := range pending {
 			// Each request is one tier, so it gets its own tier's verdict.
 			if len(r.sps) > 0 {
 				r.reply <- sparseErr
 			} else {
 				r.reply <- denseErr
 			}
-			pending[i] = nil // drop the reference; the slice is reused
 		}
-		pending = pending[:0]
-		points = 0
-	}
-
-	for {
-		if len(pending) == 0 {
-			select {
-			case r := <-s.insertQ:
-				pending = append(pending, r)
-				points += len(r.pts) + len(r.sps)
-				if points >= s.opts.MaxBatch {
-					flush()
-					continue
-				}
-				resetTimer(timer, s.opts.BatchWait)
-			case <-s.quit:
-				s.drainInsertQueue(&pending, flush)
-				return
-			}
-			continue
-		}
-		select {
-		case r := <-s.insertQ:
-			pending = append(pending, r)
-			points += len(r.pts) + len(r.sps)
-			if points >= s.opts.MaxBatch {
-				flush()
-			}
-		case <-timer.C:
-			flush()
-		case <-s.quit:
-			s.drainInsertQueue(&pending, flush)
-			return
-		}
-	}
+	})
 }
 
-// drainInsertQueue empties the insert queue after quit: everything
-// already admitted (the handler got its request into the channel before
-// the listener stopped) is still flushed, so a 200 ack is a durability
-// promise regardless of shutdown timing.
-func (s *Server) drainInsertQueue(pending *[]*insertReq, flush func()) {
-	for {
-		select {
-		case r := <-s.insertQ:
-			*pending = append(*pending, r)
-		default:
-			flush()
-			return
-		}
-	}
-}
-
-// runClassifyCollector is the read-side twin: it coalesces admitted
-// classify requests into one ClassifyBatch against a single snapshot
-// load, then scatters the per-point results back. Per-point outputs are
+// runClassifyCollector is the read-side twin: it answers each classify
+// batch with one ClassifyBatch against a single snapshot load, then
+// scatters the per-point results back. Per-point outputs are
 // position-independent, so coalescing never changes any client's answer
 // — it only amortizes the snapshot load and scan setup.
 func (s *Server) runClassifyCollector() {
 	defer s.collectWG.Done()
-	// The timer is only selected on while requests are pending, and
-	// resetTimer neutralizes any stale expiry before re-arming, so the
-	// initial duration is irrelevant. Stopping it on exit frees it at
-	// once rather than an hour later.
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	var pending []*classifyReq
-	var points int
 	var scratch []vec.Vector
-
-	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
+	collect(s.classifyQ, s.quit, s.opts.MaxBatch, func(pending []*classifyReq) {
 		scratch = scratch[:0]
 		for _, r := range pending {
 			scratch = append(scratch, r.pts...)
@@ -187,7 +138,7 @@ func (s *Server) runClassifyCollector() {
 		s.classifyFlushes.Add(1)
 		s.classifyBatchedPts.Add(int64(len(scratch)))
 		off := 0
-		for i, r := range pending {
+		for _, r := range pending {
 			if ok {
 				copy(r.idx, idx[off:off+len(r.pts)])
 				copy(r.dist, dist[off:off+len(r.pts)])
@@ -196,55 +147,6 @@ func (s *Server) runClassifyCollector() {
 				r.reply <- ErrNoSnapshot
 			}
 			off += len(r.pts)
-			pending[i] = nil
 		}
-		pending = pending[:0]
-		points = 0
-	}
-
-	for {
-		if len(pending) == 0 {
-			select {
-			case r := <-s.classifyQ:
-				pending = append(pending, r)
-				points += len(r.pts)
-				if points >= s.opts.MaxBatch {
-					flush()
-					continue
-				}
-				resetTimer(timer, s.opts.BatchWait)
-			case <-s.quit:
-				s.drainClassifyQueue(&pending, flush)
-				return
-			}
-			continue
-		}
-		select {
-		case r := <-s.classifyQ:
-			pending = append(pending, r)
-			points += len(r.pts)
-			if points >= s.opts.MaxBatch {
-				flush()
-			}
-		case <-timer.C:
-			flush()
-		case <-s.quit:
-			s.drainClassifyQueue(&pending, flush)
-			return
-		}
-	}
-}
-
-// drainClassifyQueue answers every classify request still queued at
-// shutdown rather than leaving its handler waiting.
-func (s *Server) drainClassifyQueue(pending *[]*classifyReq, flush func()) {
-	for {
-		select {
-		case r := <-s.classifyQ:
-			*pending = append(*pending, r)
-		default:
-			flush()
-			return
-		}
-	}
+	})
 }

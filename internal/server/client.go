@@ -257,8 +257,8 @@ func (c *Client) Snapshot(ctx context.Context) (snapshotMeta, error) {
 	return meta, err
 }
 
-// Healthz probes liveness: nil means serving, an error means down or
-// draining.
+// Healthz probes liveness: nil means serving, an error means down,
+// draining or degraded by a backend failure.
 func (c *Client) Healthz(ctx context.Context) error {
 	_, err := c.do(ctx, http.MethodGet, "/healthz", "", nil)
 	return err

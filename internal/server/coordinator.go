@@ -243,6 +243,10 @@ func (c *Coordinator) Flush(ctx context.Context) error {
 	return c.Refresh(ctx)
 }
 
+// Err implements Backend. A coordinator holds no points of its own: a
+// failed peer insert is already returned to its caller.
+func (c *Coordinator) Err() error { return nil }
+
 // Close implements Backend: stops the refresher. The peers are
 // independent daemons with their own lifecycles and are left running.
 // The last published snapshot stays readable.

@@ -78,7 +78,7 @@ func startShardDaemon(t *testing.T, cfg core.Config, w int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(EngineBackend{Eng: eng, Cfg: scfg}, Options{BatchWait: 50 * time.Microsecond})
+	srv := New(EngineBackend{Eng: eng, Cfg: scfg}, Options{})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -36,12 +36,10 @@ import (
 // Options tunes the admission layer. The zero value is usable: every
 // field falls back to the default below.
 type Options struct {
-	// MaxBatch is the point count at which a collector flushes without
-	// waiting for the deadline. Default 64.
+	// MaxBatch caps the points one collector flush takes from its queue.
+	// Default 64.
 	MaxBatch int
-	// BatchWait is how long the first parked request waits for company
-	// before the collector flushes anyway. Default 200µs — roughly the
-	// knee where coalescing pays for itself without showing up in p99.
+	// Deprecated: ignored; collectors flush as soon as their queue is empty.
 	BatchWait time.Duration
 	// QueueDepth bounds each admission queue in requests. A full queue
 	// rejects with 429 + Retry-After instead of growing latency without
@@ -58,9 +56,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 64
-	}
-	if o.BatchWait <= 0 {
-		o.BatchWait = 200 * time.Microsecond
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 256
@@ -387,18 +382,17 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 
 // ServerGauges is the admission-layer half of GET /stats.
 type ServerGauges struct {
-	AcceptedPoints     int64   `json:"accepted_points"`
-	Rejected429        int64   `json:"rejected_429"`
-	InsertFlushes      int64   `json:"insert_flushes"`
-	AvgInsertBatch     float64 `json:"avg_insert_batch"`
-	ClassifyFlushes    int64   `json:"classify_flushes"`
-	AvgClassifyBatch   float64 `json:"avg_classify_batch"`
-	Draining           bool    `json:"draining"`
-	QueueDepth         int     `json:"queue_depth"`
-	InsertQueueLen     int     `json:"insert_queue_len"`
-	ClassifyQueueLen   int     `json:"classify_queue_len"`
-	MaxBatch           int     `json:"max_batch"`
-	BatchWaitMicros    int64   `json:"batch_wait_us"`
+	AcceptedPoints   int64   `json:"accepted_points"`
+	Rejected429      int64   `json:"rejected_429"`
+	InsertFlushes    int64   `json:"insert_flushes"`
+	AvgInsertBatch   float64 `json:"avg_insert_batch"`
+	ClassifyFlushes  int64   `json:"classify_flushes"`
+	AvgClassifyBatch float64 `json:"avg_classify_batch"`
+	Draining         bool    `json:"draining"`
+	QueueDepth       int     `json:"queue_depth"`
+	InsertQueueLen   int     `json:"insert_queue_len"`
+	ClassifyQueueLen int     `json:"classify_queue_len"`
+	MaxBatch         int     `json:"max_batch"`
 }
 
 // StatsPayload is the JSON shape of GET /stats: the engine gauges
@@ -420,7 +414,6 @@ func (s *Server) gauges() ServerGauges {
 		InsertQueueLen:   len(s.insertQ),
 		ClassifyQueueLen: len(s.classifyQ),
 		MaxBatch:         s.opts.MaxBatch,
-		BatchWaitMicros:  s.opts.BatchWait.Microseconds(),
 	}
 	if g.InsertFlushes > 0 {
 		g.AvgInsertBatch = float64(s.insertBatchedPts.Load()) / float64(g.InsertFlushes)
@@ -435,9 +428,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, StatsPayload{Engine: s.b.Stats(), Server: s.gauges()})
 }
 
+// handleHealthz fails closed: a draining server, or one whose backend
+// has hit an asynchronous error (a failed WAL append, say), answers 503.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		httpError(w, http.StatusServiceUnavailable, "draining")
+		return
+	}
+	if err := s.b.Err(); err != nil {
+		httpError(w, http.StatusServiceUnavailable, "degraded: "+err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true})

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -14,6 +15,7 @@ import (
 
 	"birch/internal/cf"
 	"birch/internal/core"
+	"birch/internal/faultfs"
 	"birch/internal/stream"
 	"birch/internal/vec"
 )
@@ -150,27 +152,33 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
-// stubBackend is a Backend whose InsertBatch can be blocked, for
-// deterministic backpressure and coalescing tests.
+// stubBackend is a Backend whose InsertBatch and Snapshot can be
+// blocked, for deterministic backpressure and coalescing tests.
 type stubBackend struct {
 	dim     int
-	entered chan struct{} // if non-nil, signaled when InsertBatch begins
-	gate    chan struct{} // each InsertBatch receives once before returning
+	entered chan struct{} // if non-nil, signaled when InsertBatch or Snapshot begins
+	gate    chan struct{} // each InsertBatch or Snapshot receives once before returning
+	snap    *stream.Snapshot
 	batches [][]vec.Vector
 	mu      sync.Mutex
 	points  atomic.Int64
 	closed  atomic.Bool
 }
 
-func (s *stubBackend) Dim() int              { return s.dim }
-func (s *stubBackend) CoreKind() cf.CoreKind { return cf.CoreClassic }
-func (s *stubBackend) InsertBatch(ctx context.Context, pts []vec.Vector) error {
+// block signals entry and waits on the gate, where the test set them.
+func (s *stubBackend) block() {
 	if s.entered != nil {
 		s.entered <- struct{}{}
 	}
 	if s.gate != nil {
 		<-s.gate
 	}
+}
+
+func (s *stubBackend) Dim() int              { return s.dim }
+func (s *stubBackend) CoreKind() cf.CoreKind { return cf.CoreClassic }
+func (s *stubBackend) InsertBatch(ctx context.Context, pts []vec.Vector) error {
+	s.block()
 	s.mu.Lock()
 	s.batches = append(s.batches, append([]vec.Vector(nil), pts...))
 	s.mu.Unlock()
@@ -184,18 +192,19 @@ func (s *stubBackend) InsertSparseBatch(ctx context.Context, sps []vec.Sparse) e
 	}
 	return s.InsertBatch(ctx, pts)
 }
-func (s *stubBackend) Snapshot() *stream.Snapshot { return nil }
+func (s *stubBackend) Snapshot() *stream.Snapshot { s.block(); return s.snap }
 func (s *stubBackend) Stats() stream.Stats        { return stream.Stats{Inserted: s.points.Load()} }
 func (s *stubBackend) Summaries(ctx context.Context) ([]core.Summary, error) {
 	return nil, nil
 }
 func (s *stubBackend) Flush(ctx context.Context) error { return nil }
+func (s *stubBackend) Err() error                      { return nil }
 func (s *stubBackend) Close() error                    { s.closed.Store(true); return nil }
 
 // TestShutdownReleasesCollectorTimers stops many servers and bounds the
-// heap they leave behind. Each collector arms a timer; under go 1.22
-// timer semantics a timer that is never stopped stays on the runtime
-// heap until it fires, so a stopped Server must stop both.
+// heap they leave behind: a stopped Server's collectors must release
+// everything they held, runtime timers included (under go 1.22 timer
+// semantics an unstopped timer stays on the heap until it fires).
 func TestShutdownReleasesCollectorTimers(t *testing.T) {
 	const servers = 2000
 	ctx := context.Background()
@@ -223,7 +232,6 @@ func TestBackpressure429(t *testing.T) {
 	stub := &stubBackend{dim: 2, gate: make(chan struct{})}
 	cl, shutdown := startServer(t, stub, Options{
 		MaxBatch:   4,
-		BatchWait:  time.Millisecond,
 		QueueDepth: 2,
 		RetryAfter: 7,
 	})
@@ -290,7 +298,6 @@ func TestCoalescing(t *testing.T) {
 	}
 	cl, shutdown := startServer(t, stub, Options{
 		MaxBatch:   64,
-		BatchWait:  time.Millisecond,
 		QueueDepth: 64,
 	})
 	defer shutdown()
@@ -334,6 +341,173 @@ func TestCoalescing(t *testing.T) {
 	}
 	if sizes[1] != 10 {
 		t.Fatalf("batch sizes %v: want the 10 parked singles coalesced into one flush", sizes)
+	}
+}
+
+// TestClassifyCoalescing is TestCoalescing's read-side twin: classifies
+// parked behind one blocked flush are answered by a single ClassifyBatch,
+// and each request gets back exactly its own points' results.
+func TestClassifyCoalescing(t *testing.T) {
+	const dim = 2
+	b := testEngineBackend(t, dim, 3)
+	if err := b.Eng.InsertBatch(context.Background(), testPoints(200, dim)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Eng.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	snap := b.Eng.Snapshot()
+	if err := b.Eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stub := &stubBackend{
+		dim:     dim,
+		entered: make(chan struct{}, 8),
+		gate:    make(chan struct{}, 64),
+		snap:    snap,
+	}
+	cl, shutdown := startServer(t, stub, Options{MaxBatch: 64, QueueDepth: 64})
+	defer shutdown()
+	ctx := context.Background()
+
+	queries := testPoints(11, dim)
+	wantIdx, wantDist, ok := snap.ClassifyBatch(queries, 1)
+	if !ok {
+		t.Fatal("snapshot refused to classify")
+	}
+	check := func(i int) {
+		idx, dist, err := cl.Classify(ctx, queries[i])
+		if err != nil {
+			t.Errorf("classify %d: %v", i, err)
+			return
+		}
+		if idx != wantIdx[i] || dist != wantDist[i] {
+			t.Errorf("classify %d: got (%d,%v) want (%d,%v)", i, idx, dist, wantIdx[i], wantDist[i])
+		}
+	}
+	// First classify occupies the collector inside the blocked flush.
+	first := make(chan struct{})
+	go func() { check(0); close(first) }()
+	<-stub.entered
+	var wg sync.WaitGroup
+	for i := 1; i < len(queries); i++ {
+		wg.Add(1)
+		go func(i int) { defer wg.Done(); check(i) }(i)
+	}
+	waitFor(t, func() bool {
+		st, err := cl.Stats(ctx)
+		return err == nil && st.Server.ClassifyQueueLen == 10
+	})
+	for i := 0; i < 64; i++ { // release everything
+		stub.gate <- struct{}{}
+	}
+	<-first
+	wg.Wait()
+
+	st, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Server.ClassifyFlushes != 2 || st.Server.AvgClassifyBatch != 5.5 {
+		t.Fatalf("%d classify flushes averaging %v points: want the blocked single, then the 10 parked singles in one flush",
+			st.Server.ClassifyFlushes, st.Server.AvgClassifyBatch)
+	}
+}
+
+// TestLoneRequestFlushesAtOnce requires a sequential client's requests
+// to be answered without waiting for company: each single-point insert
+// and classify is its own flush, whatever the (ignored) BatchWait says.
+func TestLoneRequestFlushesAtOnce(t *testing.T) {
+	const dim, n = 2, 5
+	b := testEngineBackend(t, dim, 3)
+	cl, shutdown := startServer(t, b, Options{BatchWait: time.Hour})
+	defer shutdown()
+	deadline := func() (context.Context, context.CancelFunc) {
+		return context.WithTimeout(context.Background(), 5*time.Second)
+	}
+
+	pts := testPoints(n, dim)
+	for i, p := range pts {
+		ctx, cancel := deadline()
+		err := cl.Insert(ctx, p)
+		cancel()
+		if err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	if err := b.Eng.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	wantIdx, wantDist, ok := b.Eng.ClassifyBatch(pts, 1)
+	if !ok {
+		t.Fatal("engine refused to classify")
+	}
+	for i, p := range pts {
+		ctx, cancel := deadline()
+		idx, dist, err := cl.Classify(ctx, p)
+		cancel()
+		if err != nil {
+			t.Fatalf("classify %d: %v", i, err)
+		}
+		if idx != wantIdx[i] || dist != wantDist[i] {
+			t.Fatalf("classify %d: got (%d,%v) want (%d,%v)", i, idx, dist, wantIdx[i], wantDist[i])
+		}
+	}
+
+	st, err := cl.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Server.InsertFlushes != n || st.Server.ClassifyFlushes != n {
+		t.Fatalf("%d sequential inserts and classifies took %d/%d flushes, want %d each",
+			n, st.Server.InsertFlushes, st.Server.ClassifyFlushes, n)
+	}
+}
+
+// TestHealthzDegradedAfterWALFailure requires /healthz to fail closed:
+// once a WAL append has failed, the daemon reports 503 degraded rather
+// than healthy.
+func TestHealthzDegradedAfterWALFailure(t *testing.T) {
+	const dim = 2
+	cfg := core.DefaultConfig(dim, 3)
+	cfg.Refine = false
+	disk := faultfs.NewDisk()
+	eng, _, err := stream.Open(cfg, stream.Options{Shards: 1}, &stream.DurableOptions{FS: disk, SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(EngineBackend{Eng: eng, Cfg: cfg}, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	cl := NewClient(ts.URL)
+	ctx := context.Background()
+
+	if _, err := cl.InsertBatch(ctx, testPoints(10, dim), dim); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Healthz(ctx); err != nil {
+		t.Fatalf("healthz before the fault: %v", err)
+	}
+
+	disk.FailWriteAfter(0, nil)
+	// The append fails on the shard worker after the insert is acked, so
+	// the error surfaces through Flush and the engine's Err.
+	if _, err := cl.InsertBatch(ctx, testPoints(10, dim), dim); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Flush(ctx); err == nil {
+		t.Fatal("flush after a failed WAL append reported success")
+	}
+	err = cl.Healthz(ctx)
+	if err == nil || !strings.Contains(err.Error(), "degraded") ||
+		!strings.Contains(err.Error(), faultfs.ErrInjectedWrite.Error()) {
+		t.Fatalf("healthz after a failed WAL append: %v, want 503 degraded naming the write error", err)
+	}
+	if err := s.Shutdown(ctx); err == nil {
+		t.Fatal("Shutdown over a failed WAL reported success")
 	}
 }
 

@@ -67,10 +67,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzStreamInsertClose -fuzztime $(FUZZTIME) ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/pager
 
-# Full benchmark harness: fixed-seed Phase 1 and pipeline workloads,
-# written to BENCH_phase1.json / BENCH_pipeline.json in the repo root.
-# Pass BENCH_BASELINE=<dir> to emit before/after ratios against a saved
-# pair of reports.
+# Full benchmark harness: every suite in one run (scan, phase1,
+# pipeline, stream, tail, wal, serve, sparse), written to the eight
+# BENCH_<suite>.json files in the repo root with one commit and host
+# stamp. Pass BENCH_BASELINE=<dir> to embed a saved run's files and
+# emit before/after ratios.
 bench:
 	$(GO) run ./cmd/birchbench -out . $(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE))
 

@@ -2,18 +2,30 @@ package main
 
 import (
 	"fmt"
-	"math"
 
 	"birch/internal/cf"
 	"birch/internal/cftree"
 	"birch/internal/pager"
 )
 
-// scanFile records the descent-scan workloads: the cost of the CF-tree's
+// The scan suite (BENCH_scan.json) records the cost of the CF-tree's
 // closest-entry scans with the fused block kernel (the default) against
 // the per-entry kernel loop (the bit-identical reference), measured on an
 // absorb-dominated steady state where descent is the whole hot path.
-const scanFile = "BENCH_scan.json"
+
+// scanRow is one descent workload. The Cost columns hold the fused
+// block-scan numbers; EntryScanNsPerPoint is the per-entry kernel loop on
+// the identical workload, and FusedVsEntryScan is fused/entries ns (< 1
+// means the fused scan is faster). Both modes build bit-identical trees,
+// so the ratio is pure scan cost.
+type scanRow struct {
+	Shape
+	Metric string `json:"metric,omitempty"`
+	Cost
+	LeafEntries         int     `json:"leaf_entries,omitempty"`
+	EntryScanNsPerPoint float64 `json:"entry_scan_ns_per_point,omitempty"`
+	FusedVsEntryScan    float64 `json:"fused_vs_entry_scan,omitempty"`
+}
 
 // descentSpec is one descent workload: the distance metric,
 // dimensionality, point count, and the tree shape. A 4 KB page gives
@@ -29,11 +41,7 @@ type descentSpec struct {
 	Seed      int64
 }
 
-func descentSpecs(quick bool) []descentSpec {
-	div := 1
-	if quick {
-		div = 10
-	}
+func descentSpecs(div int) []descentSpec {
 	// Thresholds sit well below the blob diameter so each blob shatters
 	// into many subclusters: the converged trees are several levels deep
 	// with wide nodes, and every insert descends through full node scans
@@ -56,66 +64,64 @@ func descentSpecs(quick bool) []descentSpec {
 	}
 }
 
-// runDescentWorkloads measures each spec under both scan modes. The
-// protocol per mode: build the tree once from the point stream (warm-up;
-// splits and structure happen here), then re-insert the same stream into
-// the converged tree — at a threshold above the blob diameter every
+// runScan measures each spec under both scan modes. The protocol per
+// mode: build the tree once from the point stream (warm-up; splits and
+// structure happen here), then re-insert the same stream into the
+// converged tree — at a threshold above the blob diameter every
 // re-insertion absorbs, so the measured pass is pure descent + absorb,
-// the steady state of Phase 1 on a converged tree. Best-of-reps per mode.
-//
-// The fused-mode numbers land in the standard ns/allocs/bytes fields;
-// the reference loop's ns lands in EntryScanNsPerPoint with the ratio in
-// FusedVsEntryScan (< 1 means the fused scan is faster). Both modes must
-// agree on the resulting tree — the harness fatals on any divergence,
-// so the speedup can never come from doing different work.
-func runDescentWorkloads(quick bool, reps int) map[string]Workload {
-	out := make(map[string]Workload)
-	for _, spec := range descentSpecs(quick) {
+// the steady state of Phase 1 on a converged tree. Both modes must agree
+// on the resulting tree — the harness fatals on any divergence, so the
+// speedup can never come from doing different work.
+func runScan(o opts) map[string]scanRow {
+	out := make(map[string]scanRow)
+	for _, spec := range descentSpecs(o.div()) {
 		pts := blobs(spec.Seed, spec.Dim, 16, spec.N)
 		ents := make([]cf.CF, len(pts))
 		for i, p := range pts {
 			ents[i] = cf.FromPoint(p)
 		}
 
-		w := Workload{Dim: spec.Dim, Points: len(pts), Seed: spec.Seed, Metric: spec.Metric.String()}
-		inf := sample{ns: math.Inf(1), allocs: math.Inf(1), bytes: math.Inf(1)}
-		perMode := [2]sample{inf, inf}
 		var leafEntries [2]int
-		// Modes are interleaved within each rep (fused, entries, fused,
-		// entries, ...) rather than measured back to back, so slow drift
-		// in the host's effective speed hits both sides of the ratio
-		// equally instead of biasing whichever mode ran later.
-		for r := 0; r < reps; r++ {
-			for mi, mode := range []cftree.ScanMode{cftree.ScanFused, cftree.ScanEntries} {
-				tr := newDescentTree(spec, mode)
+		mode := func(slot int, m cftree.ScanMode) func() Cost {
+			return func() Cost {
+				tr := newDescentTree(spec, m)
 				for i := range ents {
 					tr.Insert(ents[i].Clone()) // warm-up: build the tree
 				}
-				s := measure(len(ents), func() {
+				c := measure(len(ents), func() {
 					for i := range ents {
 						tr.Insert(ents[i]) // measured: absorb steady state
 					}
 				})
-				perMode[mi] = perMode[mi].min(s)
-				leafEntries[mi] = tr.LeafEntries()
+				leafEntries[slot] = tr.LeafEntries()
+				return c
 			}
 		}
+		costs := bestOf(o.reps, mode(0, cftree.ScanFused), mode(1, cftree.ScanEntries))
 		if leafEntries[0] != leafEntries[1] {
 			fatal(fmt.Errorf("descent %s: scan modes diverged: %d vs %d leaf entries",
 				spec.Name, leafEntries[0], leafEntries[1]))
 		}
-
-		w.NsPerPoint = perMode[0].ns
-		w.AllocsPerPoint = perMode[0].allocs
-		w.BytesPerPoint = perMode[0].bytes
-		w.LeafEntries = leafEntries[0]
-		w.EntryScanNsPerPoint = perMode[1].ns
-		if perMode[1].ns > 0 {
-			w.FusedVsEntryScan = perMode[0].ns / perMode[1].ns
+		out[spec.Name] = scanRow{
+			Shape:               Shape{spec.Dim, len(pts), spec.Seed},
+			Metric:              spec.Metric.String(),
+			Cost:                costs[0],
+			LeafEntries:         leafEntries[0],
+			EntryScanNsPerPoint: costs[1].NsPerPoint,
+			FusedVsEntryScan:    ratio(costs[0].NsPerPoint, costs[1].NsPerPoint),
 		}
-		out[spec.Name] = w
 	}
 	return out
+}
+
+func scanNames(o opts) []string {
+	return specNames(descentSpecs(o.div()), func(s descentSpec) string { return s.Name })
+}
+
+func checkScan(_ opts, rows map[string]scanRow) error {
+	return each(rows, func(_ string, w scanRow) bool {
+		return positive(w.NsPerPoint, w.EntryScanNsPerPoint, w.FusedVsEntryScan)
+	})
 }
 
 // newDescentTree builds an empty tree for the spec with page-derived

@@ -17,7 +17,7 @@ package main
 //   - serve_classify_binary_b64: the same ramp over 64-point binary
 //     frame batches. binary_vs_json_points is this knee's points/sec
 //     over the JSON single-point knee's — the wire-tier payoff.
-//   - serve_classify_binary_b{1,16,64,256}: fixed-duration closed-loop
+//   - serve_sweep_binary_b{1,16,64,256}: fixed-duration closed-loop
 //     batch-size sweep at constant concurrency, locating where
 //     coalescing and framing amortize.
 //   - serve_overload_429: drives ~2x the binary knee into a small
@@ -29,22 +29,18 @@ package main
 //     exactly the 200-acked points (drain_exact) — the "no accepted
 //     insert is lost" contract, measured not asserted.
 //
-// verifyServe gates only on structure and the correctness fields; the
-// throughput numbers are trajectory data, compared across PRs like
-// every other BENCH file.
+// checkServe gates only on the correctness fields; the throughput
+// numbers are trajectory data, compared across PRs like every other
+// BENCH file.
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,8 +50,6 @@ import (
 	"birch/internal/stream"
 	"birch/internal/vec"
 )
-
-const serveFile = "BENCH_serve.json"
 
 // RampStep is one fixed-rate step of a QPS ramp.
 type RampStep struct {
@@ -104,14 +98,6 @@ type ServeResult struct {
 	AckedPoints    int64 `json:"acked_points,omitempty"`
 	SnapshotPoints int64 `json:"snapshot_points,omitempty"`
 	DrainExact     bool  `json:"drain_exact,omitempty"`
-}
-
-// ServeReport is BENCH_serve.json's schema — its own, because serving
-// metrics (rates, percentiles, shed counts) share nothing with the
-// per-point cost columns of the other reports.
-type ServeReport struct {
-	Meta      Meta                   `json:"meta"`
-	Workloads map[string]ServeResult `json:"workloads"`
 }
 
 // ---- load generation --------------------------------------------------
@@ -168,26 +154,15 @@ func openLoop(rate float64, dur time.Duration, conc int, fn func() error) loopRe
 		}(w)
 	}
 	wg.Wait()
-	res := loopResult{
+	elapsed := time.Since(start)
+	return loopResult{
 		offered:  total,
 		ok:       ok.Load(),
 		errs:     errs.Load(),
 		rejected: rejected.Load(),
-		elapsed:  time.Since(start),
+		lats:     pooled(latParts),
+		elapsed:  elapsed,
 	}
-	for _, part := range latParts {
-		res.lats = append(res.lats, part...)
-	}
-	sort.Float64s(res.lats)
-	return res
-}
-
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
 }
 
 func (r loopResult) achievedQPS() float64 {
@@ -310,7 +285,7 @@ func rampToKnee(startRate float64, stepDur time.Duration, conc, batch int, fn fu
 	return knee, steps
 }
 
-func runServeWorkloads(quick bool) map[string]ServeResult {
+func runServe(o opts) map[string]ServeResult {
 	const (
 		dim, k  = 8, 32
 		preload = 40000
@@ -318,7 +293,7 @@ func runServeWorkloads(quick bool) map[string]ServeResult {
 	stepDur := time.Second
 	startRate := 2000.0
 	conc := 4 * max(4, runtime.GOMAXPROCS(0))
-	if quick {
+	if o.quick {
 		stepDur = 250 * time.Millisecond
 		startRate = 500.0
 	}
@@ -510,11 +485,7 @@ func closedLoop(dur time.Duration, conc int, fn func() (int, error)) closedRes {
 	}
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
-	var lats []float64
-	for _, p := range latParts {
-		lats = append(lats, p...)
-	}
-	sort.Float64s(lats)
+	lats := pooled(latParts)
 	return closedRes{
 		qps:          float64(reqs.Load()) / elapsed,
 		pointsPerSec: float64(points.Load()) / elapsed,
@@ -524,41 +495,8 @@ func closedLoop(dur time.Duration, conc int, fn func() (int, error)) closedRes {
 	}
 }
 
-// ---- report I/O -------------------------------------------------------
-
-func writeServeReport(path string, meta Meta, workloads map[string]ServeResult) error {
-	rep := ServeReport{Meta: meta, Workloads: workloads}
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func readServeReport(path string) (*ServeReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep ServeReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &rep, nil
-}
-
-// verifyServe gates BENCH_serve.json on structure and correctness: all
-// keys present, ramps found a knee, the overload run shed with 429s and
-// recovered, and the drain run lost nothing it acked. The wire-tier
-// throughput claim (binary batch >= 3x JSON single-point points/sec) is
-// enforced only on full runs — quick CI boxes are too noisy to gate
-// perf, which is the bench-smoke contract everywhere in this harness.
-func verifyServe(dir string, quick bool) error {
-	rep, err := readServeReport(filepath.Join(dir, serveFile))
-	if err != nil {
-		return err
-	}
-	want := []string{
+func serveNames(opts) []string {
+	return []string{
 		"serve_classify_json_single",
 		"serve_classify_binary_b64",
 		"serve_sweep_binary_b1",
@@ -568,38 +506,34 @@ func verifyServe(dir string, quick bool) error {
 		"serve_overload_429",
 		"serve_insert_drain",
 	}
-	for _, key := range want {
-		if _, ok := rep.Workloads[key]; !ok {
-			return fmt.Errorf("%s: missing workload %q", serveFile, key)
-		}
-	}
+}
+
+// checkServe gates BENCH_serve.json on correctness: both ramps found a
+// knee, the overload run shed with 429s and recovered, and the drain run
+// lost nothing it acked. The wire-tier throughput claim (binary batch >=
+// 3x JSON single-point points/sec) is enforced only on full runs — quick
+// CI boxes are too noisy to gate perf, which is the bench-smoke contract
+// everywhere in this harness.
+func checkServe(o opts, rows map[string]ServeResult) error {
 	for _, key := range []string{"serve_classify_json_single", "serve_classify_binary_b64"} {
-		w := rep.Workloads[key]
+		w := rows[key]
 		if w.KneeQPS <= 0 || w.P99Ns <= 0 || len(w.Steps) == 0 {
-			return fmt.Errorf("%s: workload %q found no saturation knee", serveFile, key)
+			return fmt.Errorf("workload %q found no saturation knee", key)
 		}
 	}
-	over := rep.Workloads["serve_overload_429"]
+	over := rows["serve_overload_429"]
 	if over.Rejected429 == 0 {
-		return fmt.Errorf("%s: overload run shed no 429s — backpressure is broken", serveFile)
+		return errors.New("overload run shed no 429s — backpressure is broken")
 	}
 	if !over.PostCheckOK {
-		return fmt.Errorf("%s: server did not serve cleanly after overload", serveFile)
+		return errors.New("server did not serve cleanly after overload")
 	}
-	drain := rep.Workloads["serve_insert_drain"]
+	drain := rows["serve_insert_drain"]
 	if !drain.DrainExact {
-		return fmt.Errorf("%s: drain lost acked inserts: acked=%d snapshot=%d",
-			serveFile, drain.AckedPoints, drain.SnapshotPoints)
+		return fmt.Errorf("drain lost acked inserts: acked=%d snapshot=%d", drain.AckedPoints, drain.SnapshotPoints)
 	}
-	if !quick {
-		bin := rep.Workloads["serve_classify_binary_b64"]
-		if bin.BinaryVsJSONPoints < 3 {
-			return fmt.Errorf("%s: binary batch tier is only %.2fx JSON single-point throughput, want >= 3x",
-				serveFile, bin.BinaryVsJSONPoints)
-		}
-	}
-	if rep.Meta.GoVersion == "" {
-		return fmt.Errorf("%s: missing meta.go_version", serveFile)
+	if bin := rows["serve_classify_binary_b64"]; !o.quick && bin.BinaryVsJSONPoints < 3 {
+		return fmt.Errorf("binary batch tier is only %.2fx JSON single-point throughput, want >= 3x", bin.BinaryVsJSONPoints)
 	}
 	return nil
 }

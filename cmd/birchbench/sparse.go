@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
+	"strings"
 
 	"birch/internal/cf"
 	"birch/internal/cftree"
@@ -13,15 +13,32 @@ import (
 	"birch/internal/vec"
 )
 
-// sparseFile records the sparse fast-path workloads: Zipfian document
-// vectors (dataset.SparseDocs) scanned against a CF block under the
-// dense fused kernel and the sparse gather kernel, across the
-// dimensionality × density grid, plus the density sweeps that pin the
-// cf.SparseGatherMaxDensity crossover and two end-to-end tree-insert
-// pairs. Every dense/sparse pair must agree bit-for-bit on every scan —
-// the harness fatals on the first divergence, so a speedup can never
-// come from doing different work.
-const sparseFile = "BENCH_sparse.json"
+// The sparse suite (BENCH_sparse.json) records the sparse fast-path
+// workloads: Zipfian document vectors (dataset.SparseDocs) scanned
+// against a CF block under the dense fused kernel and the sparse gather
+// kernel, across the dimensionality × density grid, plus the density
+// sweeps that pin the cf.SparseGatherMaxDensity crossover and two
+// end-to-end tree-insert pairs. Every dense/sparse pair must agree
+// bit-for-bit on every scan — the harness fatals on the first
+// divergence, so a speedup can never come from doing different work.
+
+// sparseRow is one sparse workload. NNZ is the nonzeros per document; the
+// NsPerPoint column holds the sparse path (gather scan, or InsertSparse
+// for the tree pairs), DenseNsPerPoint the dense fused path on the
+// identical workload, and SparseVsDense their ratio (< 1 means the sparse
+// path is faster). CrossoverDensity is set only on the density-sweep
+// rows: the measured nnz/d where the gather scan stops beating the fused
+// dense scan, the constant behind cf.SparseGatherMaxDensity.
+type sparseRow struct {
+	Shape
+	NNZ         int    `json:"nnz,omitempty"`
+	Metric      string `json:"metric,omitempty"`
+	LeafEntries int    `json:"leaf_entries,omitempty"`
+	Cost
+	DenseNsPerPoint  float64 `json:"dense_ns_per_point,omitempty"`
+	SparseVsDense    float64 `json:"sparse_vs_dense,omitempty"`
+	CrossoverDensity float64 `json:"crossover_density,omitempty"`
+}
 
 // sparseSpec is one scan workload: dimensionality (vocabulary size),
 // nonzeros per document, document count, and the number of block
@@ -39,11 +56,7 @@ type sparseSpec struct {
 // sparseSpecs is the d ∈ {64, 256, 1024} × nnz/d ∈ {1%, 5%, 20%} grid
 // under cosine, plus one D2 pair (the other metric with a gather form)
 // at the center of the grid.
-func sparseSpecs(quick bool) []sparseSpec {
-	div := 1
-	if quick {
-		div = 10
-	}
+func sparseSpecs(div int) []sparseSpec {
 	return []sparseSpec{
 		{"sparse_scan_d64_nnz1", cf.DCos, 64, 1, 20000 / div, 128, 401},
 		{"sparse_scan_d64_nnz3", cf.DCos, 64, 3, 20000 / div, 128, 402},
@@ -77,11 +90,7 @@ type sparseTreeSpec struct {
 // Thresholds are Euclidean-diameter bounds (the absorb test is metric-
 // independent) sized so the measured re-insert pass absorbs ~90% of the
 // stream into a converged multi-level tree rather than appending.
-func sparseTreeSpecs(quick bool) []sparseTreeSpec {
-	div := 1
-	if quick {
-		div = 10
-	}
+func sparseTreeSpecs(div int) []sparseTreeSpec {
 	return []sparseTreeSpec{
 		{"sparse_tree_d256_nnz13", 256, 13, 8000 / div, 32 << 10, 4.5, 421},
 		{"sparse_tree_d1024_nnz51", 1024, 51, 3000 / div, 128 << 10, 10, 422},
@@ -120,24 +129,49 @@ func buildSparseBlock(docs []vec.Sparse, entries int, kind cf.CoreKind) *cf.Bloc
 	return b
 }
 
-// runSparseWorkloads measures the scan grid, the crossover sweeps, and
-// the end-to-end tree pairs.
-func runSparseWorkloads(quick bool, reps int) map[string]Workload {
-	out := make(map[string]Workload)
-	for _, spec := range sparseSpecs(quick) {
+// runSparse measures the scan grid, the crossover sweeps, and the
+// end-to-end tree pairs.
+func runSparse(o opts) map[string]sparseRow {
+	out := make(map[string]sparseRow)
+	for _, spec := range sparseSpecs(o.div()) {
 		fmt.Fprintf(os.Stderr, "sparse: %s...\n", spec.Name)
-		out[spec.Name] = runSparseScan(spec, reps)
+		out[spec.Name] = runSparseScan(spec, o.reps)
 	}
-	for _, dim := range []int{64, 256, 1024} {
-		name := fmt.Sprintf("sparse_crossover_d%d", dim)
+	for _, dim := range sparseCrossoverDims {
+		name := sparseCrossoverName(dim)
 		fmt.Fprintf(os.Stderr, "sparse: %s...\n", name)
-		out[name] = runSparseCrossover(dim, quick, reps)
+		out[name] = runSparseCrossover(dim, o.quick, o.reps)
 	}
-	for _, spec := range sparseTreeSpecs(quick) {
+	for _, spec := range sparseTreeSpecs(o.div()) {
 		fmt.Fprintf(os.Stderr, "sparse: %s...\n", spec.Name)
-		out[spec.Name] = runSparseTree(spec, reps)
+		out[spec.Name] = runSparseTree(spec, o.reps)
 	}
 	return out
+}
+
+// sparseCrossoverDims are the dimensionalities swept for the gather/dense
+// crossover density.
+var sparseCrossoverDims = []int{64, 256, 1024}
+
+func sparseCrossoverName(dim int) string { return fmt.Sprintf("sparse_crossover_d%d", dim) }
+
+func sparseNames(o opts) []string {
+	names := specNames(sparseSpecs(o.div()), func(s sparseSpec) string { return s.Name })
+	for _, dim := range sparseCrossoverDims {
+		names = append(names, sparseCrossoverName(dim))
+	}
+	return append(names, specNames(sparseTreeSpecs(o.div()), func(s sparseTreeSpec) string { return s.Name })...)
+}
+
+// checkSparse requires a crossover density in (0, 1] on the sweep rows
+// and measured sparse and dense columns on every other row.
+func checkSparse(_ opts, rows map[string]sparseRow) error {
+	return each(rows, func(name string, w sparseRow) bool {
+		if strings.HasPrefix(name, "sparse_crossover_") {
+			return w.CrossoverDensity > 0 && w.CrossoverDensity <= 1
+		}
+		return positive(w.NsPerPoint, w.DenseNsPerPoint, w.SparseVsDense)
+	})
 }
 
 // runSparseScan times one dense-vs-gather scan pair. Protocol: pack the
@@ -148,7 +182,7 @@ func runSparseWorkloads(quick bool, reps int) map[string]Workload {
 // path does); the gather pass adds BindSparse aliasing. Before any
 // timing, every document is scanned under both kernels and the results
 // compared bit-for-bit.
-func runSparseScan(spec sparseSpec, reps int) Workload {
+func runSparseScan(spec sparseSpec, reps int) sparseRow {
 	const kind = cf.CoreClassic
 	docs := sparseDocsFor(spec.Dim, spec.NNZ, spec.N, spec.Seed)
 	blk := buildSparseBlock(docs, spec.Entries, kind)
@@ -175,35 +209,32 @@ func runSparseScan(spec sparseSpec, reps int) Workload {
 		}
 	}
 
-	w := Workload{
-		Dim: spec.Dim, NNZ: spec.NNZ, Points: len(docs), Seed: spec.Seed,
+	c := bestOf(reps,
+		func() Cost {
+			return measure(len(docs), func() {
+				for _, sp := range docs {
+					spCF.SetPointSparse(sp)
+					q.Bind(&spCF)
+					dense(q, blk)
+				}
+			})
+		},
+		func() Cost {
+			return measure(len(docs), func() {
+				for _, sp := range docs {
+					spCF.SetPointSparse(sp)
+					q.BindSparse(&spCF, sp)
+					gather(q, blk)
+				}
+			})
+		})
+	return sparseRow{
+		Shape: Shape{spec.Dim, len(docs), spec.Seed}, NNZ: spec.NNZ,
 		Metric: spec.Metric.String(), LeafEntries: blk.Len(),
+		Cost:            Cost{NsPerPoint: c[1].NsPerPoint},
+		DenseNsPerPoint: c[0].NsPerPoint,
+		SparseVsDense:   ratio(c[1].NsPerPoint, c[0].NsPerPoint),
 	}
-	denseNs, gatherNs := math.Inf(1), math.Inf(1)
-	for r := 0; r < reps; r++ {
-		s := measure(len(docs), func() {
-			for _, sp := range docs {
-				spCF.SetPointSparse(sp)
-				q.Bind(&spCF)
-				dense(q, blk)
-			}
-		})
-		denseNs = math.Min(denseNs, s.ns)
-		s = measure(len(docs), func() {
-			for _, sp := range docs {
-				spCF.SetPointSparse(sp)
-				q.BindSparse(&spCF, sp)
-				gather(q, blk)
-			}
-		})
-		gatherNs = math.Min(gatherNs, s.ns)
-	}
-	w.NsPerPoint = gatherNs
-	w.DenseNsPerPoint = denseNs
-	if denseNs > 0 {
-		w.SparseVsDense = gatherNs / denseNs
-	}
-	return w
 }
 
 // runSparseCrossover sweeps density at fixed dimensionality and locates
@@ -212,7 +243,7 @@ func runSparseScan(spec sparseSpec, reps int) Workload {
 // interpolation of the first sweep interval whose gather/dense ratio
 // crosses 1 (clamped to the last density when the gather wins the whole
 // sweep).
-func runSparseCrossover(dim int, quick bool, reps int) Workload {
+func runSparseCrossover(dim int, quick bool, reps int) sparseRow {
 	const kind = cf.CoreClassic
 	n, entries := 1500, 192
 	if quick {
@@ -241,10 +272,7 @@ func runSparseCrossover(dim int, quick bool, reps int) Workload {
 			break
 		}
 	}
-	return Workload{
-		Dim: dim, Points: n, Seed: 430, Metric: cf.DCos.String(),
-		CrossoverDensity: cross,
-	}
+	return sparseRow{Shape: Shape{dim, n, 430}, Metric: cf.DCos.String(), CrossoverDensity: cross}
 }
 
 // runSparseTree measures the end-to-end pair: the same document stream
@@ -252,57 +280,52 @@ func runSparseCrossover(dim int, quick bool, reps int) Workload {
 // separate but bit-identical trees. Protocol follows the descent suite:
 // build the tree from the stream (warm-up), then re-insert the stream
 // as the measured pass; both modes must agree on the final leaf count.
-func runSparseTree(spec sparseTreeSpec, reps int) Workload {
+func runSparseTree(spec sparseTreeSpec, reps int) sparseRow {
 	docs := sparseDocsFor(spec.Dim, spec.NNZ, spec.N, spec.Seed)
 	dense := make([]vec.Vector, len(docs))
 	for i, sp := range docs {
 		dense[i] = sp.Dense()
 	}
 
-	w := Workload{Dim: spec.Dim, NNZ: spec.NNZ, Points: len(docs), Seed: spec.Seed, Metric: cf.DCos.String()}
-	denseNs, sparseNs := math.Inf(1), math.Inf(1)
 	var leaves [2]int
-	for r := 0; r < reps; r++ {
-		// Dense mode.
-		tr := newSparseTree(spec)
-		scratch := cf.New(spec.Dim)
-		for _, p := range dense {
-			scratch.SetPoint(p)
-			tr.Insert(scratch)
-		}
-		s := measure(len(dense), func() {
-			for _, p := range dense {
-				scratch.SetPoint(p)
-				tr.Insert(scratch)
+	c := bestOf(reps,
+		func() Cost {
+			tr := newSparseTree(spec)
+			scratch := cf.New(spec.Dim)
+			insert := func() {
+				for _, p := range dense {
+					scratch.SetPoint(p)
+					tr.Insert(scratch)
+				}
 			}
-		})
-		denseNs = math.Min(denseNs, s.ns)
-		leaves[0] = tr.LeafEntries()
-
-		// Sparse mode.
-		tr = newSparseTree(spec)
-		for _, sp := range docs {
-			tr.InsertSparse(sp)
-		}
-		s = measure(len(docs), func() {
-			for _, sp := range docs {
-				tr.InsertSparse(sp)
+			insert() // warm-up: build the tree
+			c := measure(len(dense), insert)
+			leaves[0] = tr.LeafEntries()
+			return c
+		},
+		func() Cost {
+			tr := newSparseTree(spec)
+			insert := func() {
+				for _, sp := range docs {
+					tr.InsertSparse(sp)
+				}
 			}
+			insert() // warm-up: build the tree
+			c := measure(len(docs), insert)
+			leaves[1] = tr.LeafEntries()
+			return c
 		})
-		sparseNs = math.Min(sparseNs, s.ns)
-		leaves[1] = tr.LeafEntries()
-	}
 	if leaves[0] != leaves[1] {
 		fatal(fmt.Errorf("sparse %s: insert paths diverged: %d vs %d leaf entries",
 			spec.Name, leaves[0], leaves[1]))
 	}
-	w.NsPerPoint = sparseNs
-	w.DenseNsPerPoint = denseNs
-	if denseNs > 0 {
-		w.SparseVsDense = sparseNs / denseNs
+	return sparseRow{
+		Shape: Shape{spec.Dim, len(docs), spec.Seed}, NNZ: spec.NNZ,
+		Metric: cf.DCos.String(), LeafEntries: leaves[0],
+		Cost:            Cost{NsPerPoint: c[1].NsPerPoint},
+		DenseNsPerPoint: c[0].NsPerPoint,
+		SparseVsDense:   ratio(c[1].NsPerPoint, c[0].NsPerPoint),
 	}
-	w.LeafEntries = leaves[0]
-	return w
 }
 
 func newSparseTree(spec sparseTreeSpec) *cftree.Tree {
@@ -325,46 +348,4 @@ func newSparseTree(spec sparseTreeSpec) *cftree.Tree {
 		fatal(err)
 	}
 	return tr
-}
-
-// verifySparse re-reads the sparse report and checks every grid
-// workload, the three crossover sweeps, and both tree pairs are present
-// with sane measurements.
-func verifySparse(dir string, quick bool) error {
-	rep, err := readReport(filepath.Join(dir, sparseFile))
-	if err != nil {
-		return err
-	}
-	for _, spec := range sparseSpecs(quick) {
-		w, ok := rep.Workloads[spec.Name]
-		if !ok {
-			return fmt.Errorf("%s: missing workload %q", sparseFile, spec.Name)
-		}
-		if w.NsPerPoint <= 0 || w.DenseNsPerPoint <= 0 || w.SparseVsDense <= 0 {
-			return fmt.Errorf("%s: workload %q has degenerate measurements", sparseFile, spec.Name)
-		}
-	}
-	for _, dim := range []int{64, 256, 1024} {
-		name := fmt.Sprintf("sparse_crossover_d%d", dim)
-		w, ok := rep.Workloads[name]
-		if !ok {
-			return fmt.Errorf("%s: missing workload %q", sparseFile, name)
-		}
-		if w.CrossoverDensity <= 0 || w.CrossoverDensity > 1 {
-			return fmt.Errorf("%s: workload %q has degenerate crossover %g", sparseFile, name, w.CrossoverDensity)
-		}
-	}
-	for _, spec := range sparseTreeSpecs(quick) {
-		w, ok := rep.Workloads[spec.Name]
-		if !ok {
-			return fmt.Errorf("%s: missing workload %q", sparseFile, spec.Name)
-		}
-		if w.NsPerPoint <= 0 || w.DenseNsPerPoint <= 0 || w.SparseVsDense <= 0 {
-			return fmt.Errorf("%s: workload %q has degenerate measurements", sparseFile, spec.Name)
-		}
-	}
-	if rep.Meta.GoVersion == "" {
-		return fmt.Errorf("%s: missing meta.go_version", sparseFile)
-	}
-	return nil
 }

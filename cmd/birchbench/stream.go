@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -51,7 +50,19 @@ import (
 // gains write parallelism from sharding; on a single-CPU host the entire
 // measured gap comes from synchronization and read-service costs.
 
-const streamFile = "BENCH_stream.json"
+// streamRow is one concurrent-ingest workload: wall-clock ingest
+// throughput across all writers, sampled single-insert latency
+// percentiles, the classify readers served during ingest, and for stream
+// rows the throughput ratio over the mutex row at the same writer count.
+type streamRow struct {
+	Shape
+	Workers        int     `json:"workers,omitempty"`
+	Readers        int     `json:"readers,omitempty"`
+	PointsPerSec   float64 `json:"points_per_sec,omitempty"`
+	P50InsertNs    float64 `json:"p50_insert_ns,omitempty"`
+	P99InsertNs    float64 `json:"p99_insert_ns,omitempty"`
+	SpeedupVsMutex float64 `json:"speedup_vs_mutex,omitempty"`
+}
 
 type streamSpec struct {
 	Name    string
@@ -99,100 +110,65 @@ const (
 	streamBenchK   = 100 // DS1-scale cluster count (Table 3)
 )
 
-func runStreamWorkloads(quick bool, reps int) map[string]Workload {
-	n := streamPoints
-	if quick {
-		n /= 10
-	}
+func runStream(o opts) map[string]streamRow {
+	n := streamPoints / o.div()
 	const seed = 301
 	pts := blobs(seed, streamBenchDim, streamBenchK, n)
 
-	out := make(map[string]Workload)
-	for _, spec := range streamSpecs() {
-		w := Workload{Dim: streamBenchDim, Points: n, Seed: seed, Workers: spec.Writers, Readers: spec.Readers}
-		best := streamSample{}
-		for r := 0; r < reps; r++ {
-			var s streamSample
-			switch spec.Engine {
-			case "mutex":
-				s = runMutexIngest(pts, spec.Writers, spec.Readers)
-			case "stream":
-				s = runStreamIngest(pts, spec.Writers, spec.Readers)
+	specs := streamSpecs()
+	fns := make([]func() rate, len(specs))
+	for i, spec := range specs {
+		fns[i] = func() rate {
+			if spec.Engine == "mutex" {
+				return runMutexIngest(pts, spec.Writers, spec.Readers)
 			}
-			if s.pps > best.pps {
-				best = s
-			}
+			return runStreamIngest(pts, spec.Writers, spec.Readers)
 		}
-		w.PointsPerSec = best.pps
-		w.P50InsertNs = best.p50
-		w.P99InsertNs = best.p99
-		out[spec.Name] = w
+	}
+	best := bestOf(o.reps, fns...)
+	out := make(map[string]streamRow)
+	for i, spec := range specs {
+		out[spec.Name] = streamRow{
+			Shape:   Shape{streamBenchDim, n, seed},
+			Workers: spec.Writers, Readers: spec.Readers,
+			PointsPerSec: best[i].pps, P50InsertNs: best[i].p50, P99InsertNs: best[i].p99,
+		}
 	}
 
 	// Speedup of the streaming engine over the mutex baseline at equal
 	// writer counts — the number the concurrency design is accountable to.
 	for _, writers := range []int{1, 8} {
-		mName := fmt.Sprintf("mutex_w%d", writers)
 		sName := fmt.Sprintf("stream_w%d", writers)
-		m, s := out[mName], out[sName]
-		if m.PointsPerSec > 0 {
-			s.SpeedupVsMutex = s.PointsPerSec / m.PointsPerSec
-			out[sName] = s
-		}
+		s := out[sName]
+		s.SpeedupVsMutex = ratio(s.PointsPerSec, out[fmt.Sprintf("mutex_w%d", writers)].PointsPerSec)
+		out[sName] = s
 	}
 	return out
 }
 
-// streamSample is one timed concurrent-ingest run.
-type streamSample struct {
-	pps float64 // points per second, wall clock across all writers
-	p50 float64 // median single-insert latency, ns
-	p99 float64 // 99th percentile single-insert latency, ns
+func streamNames(opts) []string {
+	return specNames(streamSpecs(), func(s streamSpec) string { return s.Name })
 }
 
-// latencyRecorder samples every Nth insert's latency into a per-writer
-// slice (no shared state on the hot path; merged after the run).
-type latencyRecorder struct {
-	samples [][]float64
+func checkStream(_ opts, rows map[string]streamRow) error {
+	return each(rows, func(_ string, w streamRow) bool { return positive(w.PointsPerSec, w.P99InsertNs) })
 }
 
-func newLatencyRecorder(writers, perWriter int) *latencyRecorder {
-	lr := &latencyRecorder{samples: make([][]float64, writers)}
-	for i := range lr.samples {
-		lr.samples[i] = make([]float64, 0, perWriter/latencySampleEvery+1)
-	}
-	return lr
-}
-
-func (lr *latencyRecorder) percentiles() (p50, p99 float64) {
-	var all []float64
-	for _, s := range lr.samples {
-		all = append(all, s...)
-	}
-	if len(all) == 0 {
-		return 0, 0
-	}
-	sort.Float64s(all)
-	return all[len(all)/2], all[len(all)*99/100]
-}
-
-// runMutexIngest is the lock-based baseline under the full serving load.
-func runMutexIngest(pts []vec.Vector, writers, readers int) streamSample {
-	eng, err := core.NewEngine(streamBenchConfig())
-	if err != nil {
-		fatal(err)
-	}
-	eng.SetExpectedN(int64(len(pts)))
-	var mu sync.RWMutex
-
+// driveIngest splits pts across writers that call insert per point while
+// reader goroutines run classify bursts, and returns the writers'
+// wall-clock rate with the latency of every latencySampleEvery-th insert
+// per writer. drain runs inside the timed window once the writers finish.
+// newReader builds one reader's classify function (unused when readers
+// is 0).
+func driveIngest(pts []vec.Vector, writers, readers int, insert func(vec.Vector) error, newReader func() func(vec.Vector), drain func()) rate {
 	stop := make(chan struct{})
 	var readerWG sync.WaitGroup
 	for r := 0; r < readers; r++ {
+		classify := newReader()
 		readerWG.Add(1)
-		go func(r int) {
+		go func() {
 			defer readerWG.Done()
-			q := vec.Vector{0, 0}
-			scratch := vec.New(streamBenchDim)
+			q := vec.New(streamBenchDim)
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -201,35 +177,21 @@ func runMutexIngest(pts []vec.Vector, writers, readers int) streamSample {
 				}
 				for j := 0; j < readBurst; j++ {
 					q[0], q[1] = float64((j*25)%400), float64((i*25)%400)
-					mu.RLock()
-					// Nearest-subcluster scan over the live leaf chain:
-					// the freshest answer a lock-based design can give,
-					// at the cost of holding the read lock for the scan.
-					bestD := math.Inf(1)
-					for leaf := eng.Tree().FirstLeaf(); leaf != nil; leaf = leaf.Next() {
-						ents := leaf.Entries()
-						for e := range ents {
-							c := ents[e].CF.CentroidInto(scratch)
-							if d := vec.SqDist(q, c); d < bestD {
-								bestD = d
-							}
-						}
-					}
-					mu.RUnlock()
+					classify(q)
 				}
 				time.Sleep(readSleep)
 			}
-		}(r)
+		}()
 	}
 
-	lr := newLatencyRecorder(writers, len(pts)/writers)
+	samples := make([][]float64, writers)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < writers; w++ {
-		lo := len(pts) * w / writers
-		hi := len(pts) * (w + 1) / writers
+		slice := pts[len(pts)*w/writers : len(pts)*(w+1)/writers]
+		samples[w] = make([]float64, 0, len(slice)/latencySampleEvery+1)
 		wg.Add(1)
-		go func(w int, slice []vec.Vector) {
+		go func(w int) {
 			defer wg.Done()
 			for i, p := range slice {
 				sampled := i%latencySampleEvery == 0
@@ -237,35 +199,70 @@ func runMutexIngest(pts []vec.Vector, writers, readers int) streamSample {
 				if sampled {
 					t0 = time.Now()
 				}
-				mu.Lock()
-				err := eng.Add(p)
-				mu.Unlock()
+				err := insert(p)
 				if sampled {
-					lr.samples[w] = append(lr.samples[w], float64(time.Since(t0).Nanoseconds()))
+					samples[w] = append(samples[w], float64(time.Since(t0).Nanoseconds()))
 				}
 				if err != nil {
 					fatal(err)
 				}
 			}
-		}(w, pts[lo:hi])
+		}(w)
 	}
 	wg.Wait()
+	drain()
 	elapsed := time.Since(start)
 	close(stop)
 	readerWG.Wait()
 
-	p50, p99 := lr.percentiles()
-	return streamSample{
+	lats := pooled(samples)
+	return rate{
 		pps: float64(len(pts)) / elapsed.Seconds(),
-		p50: p50,
-		p99: p99,
+		p50: percentile(lats, 0.50),
+		p99: percentile(lats, 0.99),
 	}
+}
+
+// runMutexIngest is the lock-based baseline under the full serving load.
+func runMutexIngest(pts []vec.Vector, writers, readers int) rate {
+	eng, err := core.NewEngine(streamBenchConfig())
+	if err != nil {
+		fatal(err)
+	}
+	eng.SetExpectedN(int64(len(pts)))
+	var mu sync.RWMutex
+	insert := func(p vec.Vector) error {
+		mu.Lock()
+		defer mu.Unlock()
+		return eng.Add(p)
+	}
+	newReader := func() func(vec.Vector) {
+		scratch := vec.New(streamBenchDim)
+		return func(q vec.Vector) {
+			mu.RLock()
+			defer mu.RUnlock()
+			// Nearest-subcluster scan over the live leaf chain: the
+			// freshest answer a lock-based design can give, at the cost of
+			// holding the read lock for the scan.
+			bestD := math.Inf(1)
+			for leaf := eng.Tree().FirstLeaf(); leaf != nil; leaf = leaf.Next() {
+				ents := leaf.Entries()
+				for e := range ents {
+					c := ents[e].CF.CentroidInto(scratch)
+					if d := vec.SqDist(q, c); d < bestD {
+						bestD = d
+					}
+				}
+			}
+		}
+	}
+	return driveIngest(pts, writers, readers, insert, newReader, func() {})
 }
 
 // runStreamIngest measures the sharded streaming engine under the
 // identical offered load (same points, same per-point client calls, same
 // read bursts).
-func runStreamIngest(pts []vec.Vector, writers, readers int) streamSample {
+func runStreamIngest(pts []vec.Vector, writers, readers int) rate {
 	eng, err := stream.New(streamBenchConfig(), stream.Options{
 		Shards:          writers,
 		CompactInterval: compactEvery,
@@ -275,70 +272,17 @@ func runStreamIngest(pts []vec.Vector, writers, readers int) streamSample {
 	}
 	defer eng.Close()
 	ctx := context.Background()
-
-	stop := make(chan struct{})
-	var readerWG sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		readerWG.Add(1)
-		go func(r int) {
-			defer readerWG.Done()
-			q := vec.Vector{0, 0}
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for j := 0; j < readBurst; j++ {
-					q[0], q[1] = float64((j*25)%400), float64((i*25)%400)
-					eng.Classify(q) // lock-free snapshot read
-				}
-				time.Sleep(readSleep)
-			}
-		}(r)
+	insert := func(p vec.Vector) error { return eng.Insert(ctx, p) }
+	newReader := func() func(vec.Vector) {
+		return func(q vec.Vector) { eng.Classify(q) } // lock-free snapshot read
 	}
-
-	lr := newLatencyRecorder(writers, len(pts)/writers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < writers; w++ {
-		lo := len(pts) * w / writers
-		hi := len(pts) * (w + 1) / writers
-		wg.Add(1)
-		go func(w int, slice []vec.Vector) {
-			defer wg.Done()
-			for i, p := range slice {
-				sampled := i%latencySampleEvery == 0
-				var t0 time.Time
-				if sampled {
-					t0 = time.Now()
-				}
-				err := eng.Insert(ctx, p)
-				if sampled {
-					lr.samples[w] = append(lr.samples[w], float64(time.Since(t0).Nanoseconds()))
-				}
-				if err != nil {
-					fatal(err)
-				}
-			}
-		}(w, pts[lo:hi])
-	}
-	wg.Wait()
-	if err := eng.Flush(ctx); err != nil {
-		fatal(err)
-	}
-	elapsed := time.Since(start)
-	close(stop)
-	readerWG.Wait()
-
+	r := driveIngest(pts, writers, readers, insert, newReader, func() {
+		if err := eng.Flush(ctx); err != nil {
+			fatal(err)
+		}
+	})
 	if got := eng.Snapshot().Points; got != int64(len(pts)) {
 		fatal(fmt.Errorf("stream bench: snapshot covers %d of %d points", got, len(pts)))
 	}
-
-	p50, p99 := lr.percentiles()
-	return streamSample{
-		pps: float64(len(pts)) / elapsed.Seconds(),
-		p50: p50,
-		p99: p99,
-	}
+	return r
 }

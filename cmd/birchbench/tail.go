@@ -22,15 +22,31 @@ package main
 // kmeans.FusedKDThreshold.
 
 import (
-	"fmt"
-	"math"
-	"path/filepath"
+	"strings"
 
 	"birch/internal/kmeans"
-	"birch/internal/vec"
 )
 
-const tailFile = "BENCH_tail.json"
+// tailRow is one parallel-tail workload. Refine rows: RefNsPerPoint is
+// the pre-parallel reference assignment, NsPerPoint the production
+// Assigner at one worker, ParNsPerPoint the Assigner at -workers, and
+// SpeedupVsRef = ref/par (> 1 means the production path is faster).
+// Classify rows: per-query ns under each Finder mode plus the batch path,
+// with NsPerPoint repeating the fused column; the fused-vs-kd columns
+// across K locate the kmeans.FusedKDThreshold crossover.
+type tailRow struct {
+	Shape
+	K       int `json:"k,omitempty"`
+	Workers int `json:"workers,omitempty"`
+	Cost
+	RefNsPerPoint   float64 `json:"ref_ns_per_point,omitempty"`
+	ParNsPerPoint   float64 `json:"par_ns_per_point,omitempty"`
+	SpeedupVsRef    float64 `json:"speedup_vs_ref,omitempty"`
+	BruteNsPerQuery float64 `json:"brute_ns_per_query,omitempty"`
+	FusedNsPerQuery float64 `json:"fused_ns_per_query,omitempty"`
+	KDNsPerQuery    float64 `json:"kd_ns_per_query,omitempty"`
+	BatchNsPerQuery float64 `json:"batch_ns_per_query,omitempty"`
+}
 
 type tailSpec struct {
 	Name string
@@ -40,11 +56,7 @@ type tailSpec struct {
 	Seed int64
 }
 
-func tailRefineSpecs(quick bool) []tailSpec {
-	div := 1
-	if quick {
-		div = 10
-	}
+func tailRefineSpecs(div int) []tailSpec {
 	return []tailSpec{
 		{"tail_refine_d2_k10", 2, 200000 / div, 10, 301},
 		{"tail_refine_d2_k100", 2, 200000 / div, 100, 302},
@@ -52,11 +64,7 @@ func tailRefineSpecs(quick bool) []tailSpec {
 	}
 }
 
-func tailClassifySpecs(quick bool) []tailSpec {
-	div := 1
-	if quick {
-		div = 10
-	}
+func tailClassifySpecs(div int) []tailSpec {
 	return []tailSpec{
 		{"tail_classify_d2_k8", 2, 200000 / div, 8, 311},
 		{"tail_classify_d2_k32", 2, 200000 / div, 32, 312},
@@ -71,131 +79,79 @@ func tailClassifySpecs(quick bool) []tailSpec {
 // as it does in multi-pass Phase 4.
 const tailRefinePasses = 4
 
-func runTailWorkloads(quick bool, reps, workers int) map[string]Workload {
-	out := make(map[string]Workload)
+func runTail(o opts) map[string]tailRow {
+	out := make(map[string]tailRow)
 
-	for _, spec := range tailRefineSpecs(quick) {
+	for _, spec := range tailRefineSpecs(o.div()) {
 		pts := blobs(spec.Seed, spec.Dim, spec.K, spec.N)
-		centroids := tailCentroids(spec.Dim, spec.K)
-		total := spec.N * tailRefinePasses
-
-		w := Workload{Dim: spec.Dim, Points: spec.N, Seed: spec.Seed, K: spec.K, Workers: workers}
-		refNs, par1Ns, par8Ns := math.Inf(1), math.Inf(1), math.Inf(1)
-		var refAssigner, parAssigner kmeans.Assigner
-		for r := 0; r < reps; r++ {
-			s := measure(total, func() {
-				for p := 0; p < tailRefinePasses; p++ {
-					kmeans.AssignPointsReference(pts, centroids, 0)
-				}
-			})
-			refNs = math.Min(refNs, s.ns)
-
-			s = measure(total, func() {
-				for p := 0; p < tailRefinePasses; p++ {
-					refAssigner.Assign(pts, centroids, 0, 1)
-				}
-			})
-			par1Ns = math.Min(par1Ns, s.ns)
-
-			s = measure(total, func() {
-				for p := 0; p < tailRefinePasses; p++ {
-					parAssigner.Assign(pts, centroids, 0, workers)
-				}
-			})
-			par8Ns = math.Min(par8Ns, s.ns)
+		centroids := latticeCenters(spec.Dim, spec.K)
+		passes := func(assign func()) func() Cost {
+			return func() Cost {
+				return measure(spec.N*tailRefinePasses, func() {
+					for p := 0; p < tailRefinePasses; p++ {
+						assign()
+					}
+				})
+			}
 		}
-		w.RefNsPerPoint = refNs
-		w.NsPerPoint = par1Ns
-		w.ParNsPerPoint = par8Ns
-		if par8Ns > 0 {
-			w.SpeedupVsRef = refNs / par8Ns
+		var one, par kmeans.Assigner
+		c := bestOf(o.reps,
+			passes(func() { kmeans.AssignPointsReference(pts, centroids, 0) }),
+			passes(func() { one.Assign(pts, centroids, 0, 1) }),
+			passes(func() { par.Assign(pts, centroids, 0, o.workers) }))
+		out[spec.Name] = tailRow{
+			Shape: Shape{spec.Dim, spec.N, spec.Seed}, K: spec.K, Workers: o.workers,
+			RefNsPerPoint: c[0].NsPerPoint,
+			Cost:          Cost{NsPerPoint: c[1].NsPerPoint},
+			ParNsPerPoint: c[2].NsPerPoint,
+			SpeedupVsRef:  ratio(c[0].NsPerPoint, c[2].NsPerPoint),
 		}
-		out[spec.Name] = w
 	}
 
-	for _, spec := range tailClassifySpecs(quick) {
+	for _, spec := range tailClassifySpecs(o.div()) {
 		queries := blobs(spec.Seed, spec.Dim, spec.K, spec.N)
-		centroids := tailCentroids(spec.Dim, spec.K)
-
-		w := Workload{Dim: spec.Dim, Points: spec.N, Seed: spec.Seed, K: spec.K, Workers: workers}
-		brute := kmeans.NewFinderMode(centroids, kmeans.FinderBrute)
-		fused := kmeans.NewFinderMode(centroids, kmeans.FinderFused)
-		kd := kmeans.NewFinderMode(centroids, kmeans.FinderKD)
-		auto := kmeans.NewFinder(centroids)
-		idx := make([]int, spec.N)
-		d2 := make([]float64, spec.N)
-
-		bruteNs, fusedNs, kdNs, batchNs := math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)
-		for r := 0; r < reps; r++ {
-			for _, m := range []struct {
-				f  *kmeans.Finder
-				ns *float64
-			}{{brute, &bruteNs}, {fused, &fusedNs}, {kd, &kdNs}} {
-				f := m.f
-				s := measure(spec.N, func() {
+		centroids := latticeCenters(spec.Dim, spec.K)
+		nearest := func(f *kmeans.Finder) func() Cost {
+			return func() Cost {
+				return measure(spec.N, func() {
 					for _, q := range queries {
 						f.Nearest(q)
 					}
 				})
-				*m.ns = math.Min(*m.ns, s.ns)
 			}
-			s := measure(spec.N, func() {
-				auto.NearestBatch(queries, idx, d2, workers)
-			})
-			batchNs = math.Min(batchNs, s.ns)
 		}
-		w.BruteNsPerQuery = bruteNs
-		w.FusedNsPerQuery = fusedNs
-		w.KDNsPerQuery = kdNs
-		w.BatchNsPerQuery = batchNs
-		w.NsPerPoint = fusedNs
-		out[spec.Name] = w
+		auto := kmeans.NewFinder(centroids)
+		idx := make([]int, spec.N)
+		d2 := make([]float64, spec.N)
+		c := bestOf(o.reps,
+			nearest(kmeans.NewFinderMode(centroids, kmeans.FinderBrute)),
+			nearest(kmeans.NewFinderMode(centroids, kmeans.FinderFused)),
+			nearest(kmeans.NewFinderMode(centroids, kmeans.FinderKD)),
+			func() Cost { return measure(spec.N, func() { auto.NearestBatch(queries, idx, d2, o.workers) }) })
+		out[spec.Name] = tailRow{
+			Shape: Shape{spec.Dim, spec.N, spec.Seed}, K: spec.K, Workers: o.workers,
+			Cost:            Cost{NsPerPoint: c[1].NsPerPoint},
+			BruteNsPerQuery: c[0].NsPerPoint,
+			FusedNsPerQuery: c[1].NsPerPoint,
+			KDNsPerQuery:    c[2].NsPerPoint,
+			BatchNsPerQuery: c[3].NsPerPoint,
+		}
 	}
 	return out
 }
 
-// tailCentroids spreads K deterministic centroids over the blob lattice,
-// matching the centers blobs() samples around.
-func tailCentroids(dim, k int) []vec.Vector {
-	out := make([]vec.Vector, k)
-	for i := range out {
-		c := vec.New(dim)
-		for d := 0; d < dim; d++ {
-			c[d] = float64((i*(d+7))%k) * 25
-		}
-		out[i] = c
-	}
-	return out
+func tailNames(o opts) []string {
+	name := func(s tailSpec) string { return s.Name }
+	return append(specNames(tailRefineSpecs(o.div()), name), specNames(tailClassifySpecs(o.div()), name)...)
 }
 
-// verifyTail re-reads the tail report and checks every workload is
-// present with sane measurements — the bench-smoke contract for the
-// tail job.
-func verifyTail(dir string, quick bool) error {
-	rep, err := readReport(filepath.Join(dir, tailFile))
-	if err != nil {
-		return err
-	}
-	for _, spec := range tailRefineSpecs(quick) {
-		w, ok := rep.Workloads[spec.Name]
-		if !ok {
-			return fmt.Errorf("%s: missing workload %q", tailFile, spec.Name)
+// checkTail requires the refine columns on refine rows and the classify
+// columns on classify rows.
+func checkTail(_ opts, rows map[string]tailRow) error {
+	return each(rows, func(name string, w tailRow) bool {
+		if strings.HasPrefix(name, "tail_refine_") {
+			return positive(w.RefNsPerPoint, w.NsPerPoint, w.ParNsPerPoint, w.SpeedupVsRef)
 		}
-		if w.RefNsPerPoint <= 0 || w.NsPerPoint <= 0 || w.ParNsPerPoint <= 0 || w.SpeedupVsRef <= 0 {
-			return fmt.Errorf("%s: workload %q has degenerate measurements", tailFile, spec.Name)
-		}
-	}
-	for _, spec := range tailClassifySpecs(quick) {
-		w, ok := rep.Workloads[spec.Name]
-		if !ok {
-			return fmt.Errorf("%s: missing workload %q", tailFile, spec.Name)
-		}
-		if w.BruteNsPerQuery <= 0 || w.FusedNsPerQuery <= 0 || w.KDNsPerQuery <= 0 || w.BatchNsPerQuery <= 0 {
-			return fmt.Errorf("%s: workload %q has degenerate measurements", tailFile, spec.Name)
-		}
-	}
-	if rep.Meta.GoVersion == "" {
-		return fmt.Errorf("%s: missing meta.go_version", tailFile)
-	}
-	return nil
+		return positive(w.BruteNsPerQuery, w.FusedNsPerQuery, w.KDNsPerQuery, w.BatchNsPerQuery)
+	})
 }

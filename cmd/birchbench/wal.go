@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
 	"birch/internal/faultfs"
@@ -43,7 +41,16 @@ import (
 // actual file system; the replay row runs on the in-memory fault disk so
 // it times replay itself, not page-cache luck.
 
-const walFile = "BENCH_wal.json"
+// walRow is one durability workload; ReplayNsPerPoint is set on
+// wal_replay only, the durability columns on the durable rows only.
+type walRow struct {
+	Shape
+	Workers          int     `json:"workers,omitempty"`
+	PointsPerSec     float64 `json:"points_per_sec,omitempty"`
+	DurableVsOff     float64 `json:"durable_vs_off,omitempty"`
+	WALBytesPerPoint float64 `json:"wal_bytes_per_point,omitempty"`
+	ReplayNsPerPoint float64 `json:"replay_ns_per_point,omitempty"`
+}
 
 type walSpec struct {
 	Name      string
@@ -65,56 +72,68 @@ const (
 	walSegmentBytes = 1 << 20
 )
 
-func runWALWorkloads(quick bool, reps int) map[string]Workload {
-	n := walBenchPoints
-	if quick {
-		n /= 10
-	}
+func runWAL(o opts) map[string]walRow {
+	n := walBenchPoints / o.div()
 	const seed = 401
 	pts := blobs(seed, streamBenchDim, streamBenchK, n)
+	shape := Shape{streamBenchDim, n, seed}
 
-	out := make(map[string]Workload)
-	for _, spec := range walSpecs() {
-		w := Workload{Dim: streamBenchDim, Points: n, Seed: seed, Workers: walBenchWriters}
-		var bestPPS, walBytes float64
-		for r := 0; r < reps; r++ {
-			pps, wb := runWALIngest(pts, spec)
-			if pps > bestPPS {
-				bestPPS, walBytes = pps, wb
-			}
+	// The log's size is fixed by the point stream (one record per Insert),
+	// so the last rep's byte count stands for every rep.
+	specs := walSpecs()
+	walBytes := make([]float64, len(specs))
+	fns := make([]func() rate, len(specs))
+	for i, spec := range specs {
+		fns[i] = func() rate {
+			var r rate
+			r, walBytes[i] = runWALIngest(pts, spec)
+			return r
 		}
-		w.PointsPerSec = bestPPS
+	}
+	// Recovery cost: replay a fully-synced WAL into fresh shard trees.
+	fns = append(fns, func() rate { return runWALReplay(pts) })
+	best := bestOf(o.reps, fns...)
+
+	out := make(map[string]walRow)
+	off := best[0].pps
+	for i, spec := range specs {
+		w := walRow{Shape: shape, Workers: walBenchWriters, PointsPerSec: best[i].pps}
 		if spec.Durable {
-			w.WALBytesPerPoint = walBytes / float64(n)
+			w.DurableVsOff = ratio(best[i].pps, off)
+			w.WALBytesPerPoint = walBytes[i] / float64(n)
 		}
 		out[spec.Name] = w
 	}
-	if off := out["wal_off_w4"]; off.PointsPerSec > 0 {
-		for _, name := range []string{"wal_rotate_w4", "wal_fsync1_w4"} {
-			w := out[name]
-			w.DurableVsOff = w.PointsPerSec / off.PointsPerSec
-			out[name] = w
-		}
-	}
-
-	// Recovery cost: replay a fully-synced WAL into fresh shard trees.
-	rw := Workload{Dim: streamBenchDim, Points: n, Seed: seed, Workers: walBenchWriters}
-	for r := 0; r < reps; r++ {
-		ns, pps := runWALReplay(pts)
-		if pps > rw.PointsPerSec {
-			rw.PointsPerSec = pps
-			rw.ReplayNsPerPoint = ns
-		}
-	}
-	out["wal_replay"] = rw
+	replay := best[len(specs)].pps
+	out["wal_replay"] = walRow{Shape: shape, Workers: walBenchWriters, PointsPerSec: replay, ReplayNsPerPoint: ratio(1e9, replay)}
 	return out
 }
 
-// walIngest drives the streaming engine to a full Flush under the given
-// durability setting and returns wall-clock points/sec plus the WAL
+func walNames(opts) []string {
+	return append(specNames(walSpecs(), func(s walSpec) string { return s.Name }), "wal_replay")
+}
+
+func checkWAL(_ opts, rows map[string]walRow) error {
+	for _, spec := range walSpecs() {
+		w := rows[spec.Name]
+		if !positive(w.PointsPerSec) {
+			return fmt.Errorf("workload %q has degenerate measurements", spec.Name)
+		}
+		if spec.Durable && !positive(w.DurableVsOff, w.WALBytesPerPoint) {
+			return fmt.Errorf("workload %q missing durability columns", spec.Name)
+		}
+	}
+	if w := rows["wal_replay"]; !positive(w.PointsPerSec, w.ReplayNsPerPoint) {
+		return fmt.Errorf("workload %q has degenerate measurements", "wal_replay")
+	}
+	return nil
+}
+
+// runWALIngest drives the streaming engine to a full Flush under the
+// given durability setting and returns its wall-clock rate plus the WAL
 // bytes on disk at the timer stop (before Close's final checkpoint
 // truncates the log).
-func runWALIngest(pts []vec.Vector, spec walSpec) (pps, walBytes float64) {
+func runWALIngest(pts []vec.Vector, spec walSpec) (r rate, walBytes float64) {
 	var dur *stream.DurableOptions
 	var fs pager.FS
 	if spec.Durable {
@@ -131,39 +150,24 @@ func runWALIngest(pts []vec.Vector, spec walSpec) (pps, walBytes float64) {
 		fatal(err)
 	}
 	ctx := context.Background()
-
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < walBenchWriters; w++ {
-		lo := len(pts) * w / walBenchWriters
-		hi := len(pts) * (w + 1) / walBenchWriters
-		wg.Add(1)
-		go func(slice []vec.Vector) {
-			defer wg.Done()
-			for _, p := range slice {
-				if err := eng.Insert(ctx, p); err != nil {
-					fatal(err)
-				}
-			}
-		}(pts[lo:hi])
-	}
-	wg.Wait()
-	if err := eng.Flush(ctx); err != nil {
-		fatal(err)
-	}
-	elapsed := time.Since(start)
+	insert := func(p vec.Vector) error { return eng.Insert(ctx, p) }
+	r = driveIngest(pts, walBenchWriters, 0, insert, nil, func() {
+		if err := eng.Flush(ctx); err != nil {
+			fatal(err)
+		}
+	})
 	if spec.Durable {
 		walBytes = float64(walBytesOn(fs))
 	}
 	if err := eng.Close(); err != nil {
 		fatal(err)
 	}
-	return float64(len(pts)) / elapsed.Seconds(), walBytes
+	return r, walBytes
 }
 
 // runWALReplay builds a fully-synced store whose WAL holds the entire
 // stream, crashes it, and times the warm restart's replay.
-func runWALReplay(pts []vec.Vector) (nsPerPoint, pps float64) {
+func runWALReplay(pts []vec.Vector) rate {
 	cfg := streamBenchConfig()
 	disk := faultfs.NewDisk()
 	dur := &stream.DurableOptions{FS: disk, SegmentBytes: walSegmentBytes, SyncEvery: 1}
@@ -202,8 +206,7 @@ func runWALReplay(pts []vec.Vector) (nsPerPoint, pps float64) {
 	if err := eng2.Close(); err != nil {
 		fatal(err)
 	}
-	n := float64(len(pts))
-	return float64(elapsed.Nanoseconds()) / n, n / elapsed.Seconds()
+	return rate{pps: float64(len(pts)) / elapsed.Seconds()}
 }
 
 // walBytesOn sums the sizes of all WAL segment files on fs.
@@ -231,36 +234,4 @@ func walBytesOn(fs pager.FS) int64 {
 		total += size
 	}
 	return total
-}
-
-// verifyWAL re-reads the WAL report and checks every row carries sane
-// measurements — the bench-wal smoke contract.
-func verifyWAL(dir string) error {
-	rep, err := readReport(filepath.Join(dir, walFile))
-	if err != nil {
-		return err
-	}
-	for _, spec := range walSpecs() {
-		w, ok := rep.Workloads[spec.Name]
-		if !ok {
-			return fmt.Errorf("%s: missing workload %q", walFile, spec.Name)
-		}
-		if w.PointsPerSec <= 0 {
-			return fmt.Errorf("%s: workload %q has degenerate measurements", walFile, spec.Name)
-		}
-		if spec.Durable && (w.DurableVsOff <= 0 || w.WALBytesPerPoint <= 0) {
-			return fmt.Errorf("%s: workload %q missing durability columns", walFile, spec.Name)
-		}
-	}
-	w, ok := rep.Workloads["wal_replay"]
-	if !ok {
-		return fmt.Errorf("%s: missing workload %q", walFile, "wal_replay")
-	}
-	if w.PointsPerSec <= 0 || w.ReplayNsPerPoint <= 0 {
-		return fmt.Errorf("%s: workload wal_replay has degenerate measurements", walFile)
-	}
-	if rep.Meta.GoVersion == "" {
-		return fmt.Errorf("%s: missing meta.go_version", walFile)
-	}
-	return nil
 }

@@ -46,12 +46,13 @@ import (
 // workloads (make bench-sparse, BENCH_sparse.json): at d ∈ {64, 256,
 // 1024} the gather wins by 8–26× at 1% density, 7–10× at 5%, and still
 // ~3× at 20%; the density sweeps put the interpolated break-even at
-// 0.756 (d=256), 0.762 (d=64) and 0.889 (d=1024). 0.65 is the largest
-// swept density the gather wins on every dimension, with ≥ 10% margin —
-// past it the win is inside measurement noise, so the tree switches to
-// the dense scan there. The same discipline as kmeans.FusedKDThreshold:
-// a constant pinned by measurement, re-derivable from the committed
-// report.
+// 0.756 (d=256), 0.762 (d=64) and 0.889 (d=1024) on a 1-CPU host, where
+// 0.65 is the largest swept density the gather wins on every dimension,
+// with ≥ 10% margin — past it the win is inside measurement noise, so
+// the tree switches to the dense scan there. A 2-CPU host reads a
+// noisier 0.44–0.95 across runs, and d=64 mostly below 0.65 (DESIGN.md
+// §16). The same discipline as kmeans.FusedKDThreshold: a constant
+// pinned by measurement, re-derivable from the committed report.
 const SparseGatherMaxDensity = 0.65
 
 // SparseGatherWins reports whether the sparse gather descent is expected

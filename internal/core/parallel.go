@@ -133,21 +133,9 @@ func RunParallel(points []vec.Vector, cfg Config, workers int) (*Result, error) 
 			mergeCfg.InitialThreshold = s.Threshold
 		}
 	}
-	eng, err := NewEngine(mergeCfg)
+	eng, err := NewEngineFromSummaries(mergeCfg, sums...)
 	if err != nil {
-		return nil, err
-	}
-	var merged int64
-	for _, s := range sums {
-		merged += s.Points()
-	}
-	eng.SetExpectedN(merged)
-	for _, s := range sums {
-		for i := range s.CFs {
-			if err := eng.AddCF(s.CFs[i]); err != nil {
-				return nil, fmt.Errorf("core: parallel merge: %w", err)
-			}
-		}
+		return nil, fmt.Errorf("core: parallel merge: %w", err)
 	}
 
 	res, err := Finish(eng, points)
@@ -181,6 +169,31 @@ func (s Summary) Points() int64 {
 		n += s.CFs[i].N
 	}
 	return n
+}
+
+// NewEngineFromSummaries builds a Phase 1 engine under cfg, sets its
+// expected input to the summaries' total mass, and re-inserts every leaf
+// CF of sums in order. It is the merge step shared by RunParallel's final
+// engine, the pairwise reduction and the streaming engine's compaction;
+// for the same summaries in the same order the tree is bit-identical.
+func NewEngineFromSummaries(cfg Config, sums ...Summary) (*Engine, error) {
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	var n int64
+	for _, s := range sums {
+		n += s.Points()
+	}
+	eng.SetExpectedN(n)
+	for _, s := range sums {
+		for i := range s.CFs {
+			if err := eng.AddCF(s.CFs[i]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return eng, nil
 }
 
 // ReduceSummaries pairwise-merges sums until at most target summaries
@@ -249,17 +262,9 @@ func mergeSummaryPair(cfg Config, a, b Summary, memory int) (Summary, Phase1Stat
 		mcfg.InitialThreshold = b.Threshold
 	}
 
-	eng, err := NewEngine(mcfg)
+	eng, err := NewEngineFromSummaries(mcfg, a, b)
 	if err != nil {
 		return Summary{}, Phase1Stats{}, err
-	}
-	eng.SetExpectedN(a.Points() + b.Points())
-	for _, s := range [2]Summary{a, b} {
-		for i := range s.CFs {
-			if err := eng.AddCF(s.CFs[i]); err != nil {
-				return Summary{}, Phase1Stats{}, err
-			}
-		}
 	}
 	stats := eng.FinishPhase1()
 	return Summary{

@@ -334,19 +334,3 @@ func (e *Engine) CounterStats() Phase1Stats {
 		OutliersFinal: e.discarded.Load(),
 	}
 }
-
-// RaiseThreshold rebuilds the tree at the (strictly larger) threshold
-// newT, skipping the usual growth estimator. The streaming layer uses it
-// to propagate a globally-agreed threshold back into shard engines so
-// their trees re-compact; by the Reducibility Theorem the rebuilt tree is
-// no larger than the current one. A newT at or below the current
-// threshold is a no-op.
-func (e *Engine) RaiseThreshold(newT float64) error {
-	if e.finished {
-		return fmt.Errorf("core: RaiseThreshold after FinishPhase1")
-	}
-	if newT <= e.tree.Threshold() {
-		return nil
-	}
-	return e.rebuildAt(newT)
-}

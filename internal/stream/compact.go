@@ -28,10 +28,8 @@ func (e *Engine) runCompactor() {
 	}
 }
 
-// compact is one background compaction round: snapshot the shards,
-// publish the merged result, and optionally propagate the merged
-// threshold back so shard trees rebuild coarser and stay within their
-// memory slices.
+// compact is one background compaction round: snapshot the shards and
+// publish the merged result.
 func (e *Engine) compact() {
 	ctx := context.Background()
 	if e.acquireRound(ctx) != nil {
@@ -42,30 +40,21 @@ func (e *Engine) compact() {
 	if err != nil {
 		return
 	}
-	snap := e.publish(reports)
-	if snap == nil || !e.opts.PropagateThreshold {
-		return
-	}
-	for i, s := range e.shards {
-		if snap.Threshold > reports[i].sum.Threshold {
-			// Advisory: skip rather than stall behind a backed-up shard.
-			e.trySend(s, op{raiseT: snap.Threshold})
-		}
-	}
+	e.publish(reports)
 }
 
 // publish merges the shard reports into a fresh immutable Snapshot and
 // stores it. The caller holds the round, which serializes publishers
 // (Flush callers racing the compactor and Close) so generations stay
 // strictly increasing and each publication is built from a later sync
-// than the one before. Returns the snapshot, or nil when the merge failed
-// (the error is recorded, the previous snapshot stays current).
+// than the one before. When the merge fails the error is recorded and
+// the previous snapshot stays current.
 //
 //birchlint:publishpath
-func (e *Engine) publish(reports []shardReport) *Snapshot {
+func (e *Engine) publish(reports []shardReport) {
 	snap := e.buildSnapshot(reports)
 	if snap == nil {
-		return nil
+		return
 	}
 	e.gen++
 	snap.Gen = e.gen
@@ -75,7 +64,6 @@ func (e *Engine) publish(reports []shardReport) *Snapshot {
 	// out on, so Stats can report how stale the published view is in
 	// compaction periods (SnapshotAgeTicks).
 	e.pubTick.Store(e.ticks.Load())
-	return snap
 }
 
 // buildSnapshot runs the serving merge pipeline over owner-built shard
@@ -149,21 +137,9 @@ func MergeServingSnapshot(cfg core.Config, sums []core.Summary) (*Snapshot, erro
 	// does not degrade through double condensation. If the union
 	// overflows the memory budget, the engine's own rebuild-and-raise
 	// reacts exactly as sequential Phase 1 would.
-	eng, err := core.NewEngine(mcfg)
+	eng, err := core.NewEngineFromSummaries(mcfg, sums...)
 	if err != nil {
-		return nil, fmt.Errorf("stream: compaction engine: %w", err)
-	}
-	var merged int64
-	for _, s := range sums {
-		merged += s.Points()
-	}
-	eng.SetExpectedN(merged)
-	for _, s := range sums {
-		for i := range s.CFs {
-			if err := eng.AddCF(s.CFs[i]); err != nil {
-				return nil, fmt.Errorf("stream: compaction merge: %w", err)
-			}
-		}
+		return nil, fmt.Errorf("stream: compaction merge: %w", err)
 	}
 	eng.FinishPhase1()
 	eng.Condense() // bounds Phase 3 input when cfg.Phase2 is on

@@ -419,26 +419,16 @@ func (e *Engine) Checkpoint(ctx context.Context) error {
 	if e.dur == nil {
 		return errors.New("stream: Checkpoint requires a durable store (use Open)")
 	}
-	replies := make(chan error, len(e.shards))
-	for _, s := range e.shards {
-		if err := e.send(ctx, s, op{ckpt: replies}); err != nil {
+	errs, err := broadcast(ctx, e, func(r chan<- error) op { return op{ckpt: r} })
+	if err != nil {
+		return err
+	}
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}
-	var first error
-	for range e.shards {
-		select {
-		case err := <-replies:
-			if err != nil && first == nil {
-				first = err
-			}
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-e.quit:
-			return ErrClosed
-		}
-	}
-	return first
+	return nil
 }
 
 // closeDurable checkpoints every shard and closes the WALs. It runs on

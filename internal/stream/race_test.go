@@ -23,10 +23,9 @@ func TestStressWritersReadersCompactor(t *testing.T) {
 	cfg := core.DefaultConfig(2, 8)
 	cfg.Refine = false
 	eng, err := New(cfg, Options{
-		Shards:             4,
-		MailboxDepth:       64,
-		CompactInterval:    2 * time.Millisecond,
-		PropagateThreshold: true,
+		Shards:          4,
+		MailboxDepth:    64,
+		CompactInterval: 2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,21 +11,19 @@ import (
 
 // op is one mailbox message. Exactly one of the fields is meaningful per
 // message; routing everything through the mailbox is what serializes
-// control operations (sync, check, ckpt, raiseT) with data operations
-// (pts) on the shard's single owner goroutine.
+// control operations (sync, check, ckpt) with data operations (pts, sps)
+// on the shard's single owner goroutine.
 type op struct {
-	pts    []vec.Vector       // dense points to insert
-	sps    []vec.Sparse       // sparse points to insert
-	sync   chan<- shardReport // request an owner-built summary report
-	check  chan<- error       // request a tree invariant check
-	ckpt   chan<- error       // request a durable checkpoint (durable.go)
-	raiseT float64            // >0: raise the shard threshold (advisory)
+	pts   []vec.Vector       // dense points to insert
+	sps   []vec.Sparse       // sparse points to insert
+	sync  chan<- shardReport // request an owner-built summary report
+	check chan<- error       // request a tree invariant check
+	ckpt  chan<- error       // request a durable checkpoint (durable.go)
 }
 
 // shardReport is the owner-built, self-contained view of one shard: a
 // cloned leaf-CF summary (safe to hand across goroutines) plus gauges.
 type shardReport struct {
-	shard int
 	sum   core.Summary
 	stats ShardStats
 }
@@ -98,11 +96,6 @@ func (e *Engine) applyOp(s *shard, o op) {
 			}
 		}
 	}
-	if o.raiseT > 0 {
-		if err := s.eng.RaiseThreshold(o.raiseT); err != nil {
-			e.setErr(fmt.Errorf("stream: shard %d raise threshold: %w", s.id, err))
-		}
-	}
 	if o.check != nil {
 		var err error
 		if terr := s.eng.Tree().CheckInvariants(); terr != nil {
@@ -127,8 +120,7 @@ func reportShard(s *shard) shardReport {
 	counters := s.eng.CounterStats()
 	leaves := t.AppendLeafCFs(make([]cf.CF, 0, t.LeafEntries()))
 	return shardReport{
-		shard: s.id,
-		sum:   core.Summary{CFs: leaves, Threshold: t.Threshold()},
+		sum: core.Summary{CFs: leaves, Threshold: t.Threshold()},
 		stats: ShardStats{
 			Shard:         s.id,
 			Points:        t.Points(),

@@ -16,7 +16,7 @@
 //
 //   - Each shard's core.Engine and CF tree are touched ONLY by that
 //     shard's worker goroutine. All cross-goroutine requests (inserts,
-//     summary snapshots, threshold raises, invariant checks) travel
+//     summary snapshots, invariant checks, checkpoints) travel
 //     through the shard's mailbox, so they serialize with data ops.
 //   - A published *Snapshot is immutable: every CF and vector in it is a
 //     clone taken on the owning worker (leaf CFs) or built fresh by the
@@ -41,7 +41,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,11 +68,6 @@ type Options struct {
 	// merges the shard summaries and republishes the global snapshot.
 	// 0 disables the timer; Flush and Close still publish.
 	CompactInterval time.Duration
-	// PropagateThreshold lets the periodic compactor raise each shard's
-	// threshold to the merged tree's threshold, rebuilding shard trees
-	// coarser so they stay compact within their memory slices. Off by
-	// default: propagation trades per-shard granularity for memory.
-	PropagateThreshold bool
 }
 
 // Engine is a thread-safe streaming BIRCH front end. Writers fan points
@@ -268,23 +262,6 @@ func (e *Engine) send(ctx context.Context, s *shard, o op) error {
 	}
 }
 
-// trySend is send without blocking: it delivers o only if the mailbox has
-// room right now. Used by the compactor for advisory ops (threshold
-// raises) that must never stall behind a backed-up shard.
-func (e *Engine) trySend(s *shard, o op) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return false
-	}
-	select {
-	case s.mail <- o:
-		return true
-	default:
-		return false
-	}
-}
-
 // Flush waits until every point accepted before the call has been folded
 // into its shard's tree, then merges the shard summaries and publishes a
 // fresh snapshot. It returns the first asynchronous shard error, if any.
@@ -320,25 +297,33 @@ func (e *Engine) releaseRound() { <-e.round }
 // reflects all previously queued work — and collects the owner-built
 // reports, in shard order for a deterministic reduction shape.
 func (e *Engine) syncShards(ctx context.Context) ([]shardReport, error) {
-	replies := make(chan shardReport, len(e.shards))
-	for _, s := range e.shards {
-		if err := e.send(ctx, s, op{sync: replies}); err != nil {
+	return broadcast(ctx, e, func(r chan<- shardReport) op { return op{sync: r} })
+}
+
+// broadcast sends the op built by mk through every shard mailbox, so each
+// shard answers only after all work queued before it, and returns the
+// replies in shard order: each shard answers on its own buffered channel,
+// which keeps the result independent of worker scheduling. It gives up
+// when ctx is done or the engine closes.
+func broadcast[R any](ctx context.Context, e *Engine, mk func(chan<- R) op) ([]R, error) {
+	replies := make([]chan R, len(e.shards))
+	for i, s := range e.shards {
+		replies[i] = make(chan R, 1)
+		if err := e.send(ctx, s, mk(replies[i])); err != nil {
 			return nil, err
 		}
 	}
-	reports := make([]shardReport, 0, len(e.shards))
-	for range e.shards {
+	out := make([]R, len(e.shards))
+	for i := range replies {
 		select {
-		case r := <-replies:
-			reports = append(reports, r)
+		case out[i] = <-replies[i]:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		case <-e.quit:
 			return nil, ErrClosed
 		}
 	}
-	sort.Slice(reports, func(i, j int) bool { return reports[i].shard < reports[j].shard })
-	return reports, nil
+	return out, nil
 }
 
 // Close drains and stops the engine: it stops the compactor, rejects new
@@ -422,20 +407,13 @@ func (e *Engine) CheckInvariants() error {
 		}
 		return e.checkSnapshotMass()
 	}
-	replies := make(chan error, len(e.shards))
-	for _, s := range e.shards {
-		if err := e.send(context.Background(), s, op{check: replies}); err != nil {
-			return err
-		}
+	errs, err := broadcast(context.Background(), e, func(r chan<- error) op { return op{check: r} })
+	if err != nil {
+		return err
 	}
-	for range e.shards {
-		select {
-		case err := <-replies:
-			if err != nil {
-				return err
-			}
-		case <-e.quit:
-			return ErrClosed
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return e.checkSnapshotMass()

@@ -66,6 +66,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSparseKernelParity -fuzztime $(FUZZTIME) ./internal/cf
 	$(GO) test -run '^$$' -fuzz FuzzStreamInsertClose -fuzztime $(FUZZTIME) ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/pager
+	$(GO) test -run '^$$' -fuzz FuzzNearestMatchesBrute -fuzztime $(FUZZTIME) ./internal/kdtree
 
 # Full benchmark harness: every suite in one run (scan, phase1,
 # pipeline, stream, tail, wal, serve, sparse), written to the eight

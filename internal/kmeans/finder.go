@@ -11,10 +11,9 @@ import (
 
 // FinderMode selects the nearest-centroid search implementation a Finder
 // uses. All modes minimize the same quantity — vec.SqDist to each
-// centroid — and return bit-identical squared distances; only the index
-// can differ, and only between exactly equidistant centroids (the k-d
-// tree's visit order breaks ties differently from a low-index-first
-// scan).
+// centroid — and return bit-identical results: the same index (the
+// lowest among exactly equidistant centroids) and the same Float64bits
+// squared distance.
 type FinderMode int
 
 const (
@@ -27,21 +26,22 @@ const (
 	// flat-scan kernel (cf.ScanNearestX0): zero calls per candidate, one
 	// contiguous stream, bit-identical to FinderBrute including ties.
 	FinderFused
-	// FinderKD searches an exact k-d tree: O(log K)-ish per query in low
-	// dimension, same distances, tie indexes may differ.
+	// FinderKD searches an exact bucketed k-d tree (kdtree.Tree):
+	// O(log K)-ish per query in low dimension, bit-identical to
+	// FinderBrute including ties.
 	FinderKD
 )
 
 // FusedKDThreshold is the centroid count at which FinderAuto switches
-// from the fused flat scan to the k-d tree. Chosen by measurement
-// (BenchmarkFinderModes and the tail benchmark, BENCH_tail.json): the
-// contiguous O(K) slab scan wins outright through K≈32 in every measured
-// regime; above ≈48 the winner depends on the data — the k-d tree for
-// well-separated low-dimensional centroids (it prunes to a few leaves),
-// the slab for overlapping or higher-dimensional ones (pruning decays
-// toward an O(K) walk with pointer chasing). 48 splits the regimes; see
-// DESIGN.md §11 for both crossover tables.
-const FusedKDThreshold = 48
+// from the fused flat scan to the k-d tree. Every mode returns the same
+// answer bit for bit, so the constant moves only speed. Chosen by
+// BenchmarkFinderModes (DESIGN.md §11 has the table): the bucketed tree
+// already beats the slab scan at K = 8 on d = 2 centroids (it prunes to
+// one or two leaves), while on the benchmark's overlapping d = 8
+// centroids the two are level at K = 32 and the tree pulls ahead above
+// it. 32 is the smallest K at which the tree is no slower in either
+// regime.
+const FusedKDThreshold = 32
 
 // Finder locates the nearest centroid among a fixed set. Construction
 // packs the centroids once (into a scan block or a k-d tree), so the
@@ -53,7 +53,7 @@ type Finder struct {
 	mode      FinderMode // resolved; never FinderAuto
 	centroids []vec.Vector
 	block     *cf.Block
-	kd        *kdtree.Tree
+	kd        kdtree.Tree
 }
 
 // NewFinder builds a Finder over centroids with the measured-crossover
@@ -72,10 +72,9 @@ func NewFinderMode(centroids []vec.Vector, mode FinderMode) *Finder {
 }
 
 // Reset re-points the finder at a new centroid set, reusing the packed
-// block in place when the dimension allows — re-packing K moving
+// block or the k-d tree's arrays in place — re-packing K moving
 // centroids between Lloyd iterations or refinement passes then performs
-// zero heap allocations. (The k-d tree mode rebuilds its arena; moving
-// centroids are exactly the regime where the fused mode wins anyway.)
+// zero heap allocations in every mode.
 //
 //birchlint:coldpath
 func (f *Finder) Reset(centroids []vec.Vector, mode FinderMode) {
@@ -91,7 +90,6 @@ func (f *Finder) Reset(centroids []vec.Vector, mode FinderMode) {
 	}
 	f.mode = mode
 	f.centroids = centroids
-	f.kd = nil
 	switch mode {
 	case FinderFused:
 		dim := centroids[0].Dim()
@@ -104,7 +102,7 @@ func (f *Finder) Reset(centroids []vec.Vector, mode FinderMode) {
 			f.block.AppendPoint(c)
 		}
 	case FinderKD:
-		f.kd = kdtree.Build(centroids)
+		f.kd.Reset(centroids)
 	}
 }
 

@@ -127,8 +127,8 @@ func Cluster(items []cf.CF, opts Options) (*Result, error) {
 	// bit-identical for every Workers value — and, for inputs at or below
 	// one chunk, identical to the plain sequential loop. The
 	// nearest-center search goes through a Finder: the fused flat scan
-	// below FusedKDThreshold centers (bit-identical to the brute loop),
-	// the exact k-d tree above it.
+	// below FusedKDThreshold centers, the exact k-d tree above it (both
+	// bit-identical to the brute loop).
 	n := len(pts)
 	chunks := (n + assignChunk - 1) / assignChunk
 	var finder Finder

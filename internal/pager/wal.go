@@ -89,6 +89,7 @@ type WAL struct {
 	activeSize int64
 	nextSeq    uint64 // seq the next Append will use
 	sinceSync  int
+	frame      []byte // Append's frame buffer, reused (io.WriterAt must not retain p)
 }
 
 // OpenWAL opens (creating if absent) the WAL named prefix on fs,
@@ -311,7 +312,10 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 		}
 	}
 	seq := w.nextSeq
-	buf := make([]byte, frame)
+	if int64(cap(w.frame)) < frame {
+		w.frame = make([]byte, frame)
+	}
+	buf := w.frame[:frame]
 	binary.LittleEndian.PutUint32(buf, uint32(8+len(payload)))
 	binary.LittleEndian.PutUint64(buf[8:], seq)
 	copy(buf[16:], payload)

@@ -303,3 +303,32 @@ func TestWALOversizedPayloadRejected(t *testing.T) {
 		t.Fatalf("Append oversized = %v, want ErrPayloadTooLarge", err)
 	}
 }
+
+// TestWALAppendAllocs: an Append that neither rotates nor syncs reuses
+// the WAL's frame buffer and allocates nothing. DirFS is the production
+// file system, and os.File.WriteAt copies nothing into the heap.
+func TestWALAppendAllocs(t *testing.T) {
+	w, _, err := pager.OpenWAL(pager.DirFS(t.TempDir()), "s0",
+		pager.WALOptions{SegmentBytes: 1 << 30, SyncEvery: 0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{0xa5}, 4096)
+	if _, err := w.Append(payload); err != nil { // size the frame buffer
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := w.Append(payload[:1+len(payload)/2]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Append allocates %.1f times per pair, want 0", allocs)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
